@@ -355,7 +355,7 @@ func BenchmarkAblationOrderChecking(b *testing.B) {
 // with dynamic memory in the buffers — the cost §3.2.2 worries about.
 func BenchmarkStateSnapshot(b *testing.B) {
 	spec := compileB(b, "tp0.estelle", specs.TP0)
-	e := vm.New(spec.Prog)
+	e := vm.New(spec.Code)
 	st, _, err := e.RunInit()
 	if err != nil {
 		b.Fatal(err)

@@ -284,8 +284,13 @@ func openResume(path string, meta checkpoint.BatchMeta, n int, ew io.Writer) (*c
 			j.Close()
 			return nil, nil, fmt.Errorf("resume: %w", err)
 		}
+		row, err := e.Row()
+		if err != nil {
+			j.Close()
+			return nil, nil, fmt.Errorf("resume: %w", err)
+		}
 		if e.Index >= 0 && e.Index < n {
-			done[e.Index] = e.Item
+			done[e.Index] = row
 		}
 	}
 	fmt.Fprintf(ew, "tango: resume: restored %d finished rows from %s\n", len(done), path)

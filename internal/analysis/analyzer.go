@@ -164,7 +164,7 @@ func New(spec *efsm.Spec, opts Options) (*Analyzer, error) {
 		}
 		a.unobserved[id] = true
 	}
-	a.exec = vm.New(spec.Prog)
+	a.exec = vm.New(spec.Code)
 	if opts.MaxHeapCells > 0 {
 		a.exec.Limits.MaxHeapCells = opts.MaxHeapCells
 	}

@@ -643,7 +643,7 @@ func (a *Analyzer) newWorkerAnalyzer() *Analyzer {
 	w.opts.Tracer = nil
 	w.opts.OnProgress = nil
 	w.opts.OnCheckpoint = nil
-	w.exec = vm.New(a.spec.Prog)
+	w.exec = vm.New(a.spec.Code)
 	w.exec.Limits = a.exec.Limits
 	return w
 }

@@ -250,3 +250,52 @@ func TestJournalMidFileCorruption(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 	}
 }
+
+// TestBatchEntryRoundTrip: a journaled row keeps its zero values behind
+// pointers (Match=&false), and a journal written before rows travelled as
+// JSON still replays its gob-encoded rows.
+func TestBatchEntryRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.ckpt")
+	j, err := CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mismatch := false
+	e, err := NewBatchEntry(0, obs.BatchItem{Trace: "t0", ExitClass: 0, Expect: "invalid", Match: &mismatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(KindBatchItem, e); err != nil {
+		t.Fatal(err)
+	}
+	legacy := BatchEntry{Index: 1, Item: obs.BatchItem{Trace: "t1", ExitClass: 2}}
+	if err := j.Append(KindBatchItem, legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, _, err := ReplayJournal(path)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("replay: %d records, err %v", len(recs), err)
+	}
+	var rows []obs.BatchItem
+	for i, rec := range recs {
+		var e BatchEntry
+		if err := rec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		row, err := e.Row()
+		if err != nil || e.Index != i {
+			t.Fatalf("record %d: index %d, err %v", i, e.Index, err)
+		}
+		rows = append(rows, row)
+	}
+	if m := rows[0].Match; m == nil || *m || rows[0].Trace != "t0" || rows[0].Expect != "invalid" {
+		t.Fatalf("JSON row = %+v (Match %v)", rows[0], rows[0].Match)
+	}
+	if rows[1].Trace != "t1" || rows[1].ExitClass != 2 {
+		t.Fatalf("legacy row = %+v", rows[1])
+	}
+}

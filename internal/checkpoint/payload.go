@@ -1,6 +1,10 @@
 package checkpoint
 
-import "repro/internal/obs"
+import (
+	"encoding/json"
+
+	"repro/internal/obs"
+)
 
 // The record kinds written by Tango. A snapshot file holds exactly one
 // KindAnalysis record; a batch journal holds one KindBatchMeta record
@@ -38,7 +42,34 @@ type BatchMeta struct {
 // tango.batch/1 report byte-identical (after Normalize) to an uninterrupted
 // run: completed items are never re-analyzed, and the analyzer is
 // deterministic for the rest.
+//
+// The row travels as JSON in RowJSON, not as a gob struct: gob omits zero
+// values even behind pointers, so a mismatch row's Match=&false would replay
+// as a nil Match. Build entries with NewBatchEntry and read them with Row.
 type BatchEntry struct {
-	Index int
-	Item  obs.BatchItem
+	Index   int
+	RowJSON []byte
+	// Item is the gob-encoded row of journals written before RowJSON; Row
+	// falls back to it so those journals stay replayable. New entries leave
+	// it zero.
+	Item obs.BatchItem
+}
+
+// NewBatchEntry journals row as the index-th corpus item.
+func NewBatchEntry(index int, row obs.BatchItem) (BatchEntry, error) {
+	data, err := json.Marshal(row)
+	if err != nil {
+		return BatchEntry{}, err
+	}
+	return BatchEntry{Index: index, RowJSON: data}, nil
+}
+
+// Row returns the journaled row.
+func (e BatchEntry) Row() (obs.BatchItem, error) {
+	if e.RowJSON == nil {
+		return e.Item, nil
+	}
+	var row obs.BatchItem
+	err := json.Unmarshal(e.RowJSON, &row)
+	return row, err
 }

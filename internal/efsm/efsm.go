@@ -26,8 +26,9 @@ import (
 
 // Timing records how long each tool-generation phase took when the Spec was
 // built through Compile: Parse is the scanner+parser (Pet's front half),
-// Check covers semantic analysis and search-table indexing (Pet's back half
-// plus Dingo). Specs built directly with New report zero timing.
+// Check covers semantic analysis, compilation into closures and search-table
+// indexing (Pet's back half plus Dingo). Specs built directly with New report
+// zero timing.
 type Timing struct {
 	Parse time.Duration
 	Check time.Duration
@@ -37,14 +38,18 @@ type Timing struct {
 //
 // Concurrency contract (compile once, analyze many): a Spec and everything
 // reachable from it — the checked sema.Program, its transition and type
-// tables, and the indexes built by New — is immutable once New (or Compile)
-// returns. No method on Spec or sema.Program mutates shared state, and no
-// lazy caches are populated at analysis time. Any number of goroutines may
-// therefore share one compiled Spec, each driving its own analyzer/VM; the
-// batch engine (package batch) is built on this guarantee, and a -race test
-// in this package's test suite enforces it.
+// tables, the compiled vm.Code and the indexes built by New — is immutable
+// once New (or Compile) returns. No method on Spec, sema.Program or vm.Code
+// mutates shared state, and no lazy caches are populated at analysis time.
+// Any number of goroutines may therefore share one compiled Spec, each
+// driving its own analyzer/VM; the batch engine (package batch) is built on
+// this guarantee, and a -race test in this package's test suite enforces it.
 type Spec struct {
+	// Prog is the checked program without the per-node tables of
+	// sema.Info, which Code has resolved: only Info.OutputGroup is kept.
 	Prog *sema.Program
+	// Code is Prog compiled for execution by vm.New.
+	Code *vm.Code
 
 	// Timing is the tool-generation cost breakdown (set by Compile).
 	Timing Timing
@@ -59,9 +64,15 @@ type Spec struct {
 	ipByName map[string]int
 }
 
-// New indexes a checked program.
+// New compiles a checked program and indexes it for the search. The Spec
+// keeps a shallow copy of prog whose Info holds only OutputGroup, so the
+// other per-node tables become garbage once the caller drops prog.
 func New(prog *sema.Program) *Spec {
-	s := &Spec{Prog: prog, ipByName: make(map[string]int, len(prog.IPs))}
+	code := vm.Compile(prog)
+	slim := *prog
+	slim.Info = &sema.Info{OutputGroup: prog.Info.OutputGroup}
+	prog = &slim
+	s := &Spec{Prog: prog, Code: code, ipByName: make(map[string]int, len(prog.IPs))}
 	nStates := len(prog.States)
 	nIPs := len(prog.IPs)
 	s.when = make([][][]*sema.TransInfo, nStates)

@@ -116,7 +116,7 @@ func New(spec *efsm.Spec, sched Scheduler) (*Generator, error) {
 	if sched == nil {
 		sched = FirstScheduler{}
 	}
-	g := &Generator{spec: spec, exec: vm.New(spec.Prog), sched: sched}
+	g := &Generator{spec: spec, exec: vm.New(spec.Code), sched: sched}
 	g.queues = make([][]queuedInput, spec.NumIPs())
 	st, outs, err := g.exec.RunInit()
 	if err != nil {

@@ -184,7 +184,7 @@ func TestBadInputs(t *testing.T) {
 func TestSaturationSheds429(t *testing.T) {
 	hold := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	_, ts := newTestServer(t, Options{
+	s, ts := newTestServer(t, Options{
 		Workers:    1,
 		QueueDepth: 1,
 		RetryAfter: 2 * time.Second,
@@ -207,9 +207,16 @@ func TestSaturationSheds429(t *testing.T) {
 		}()
 	}
 	// Wait until the first request is inside its analysis (holding the
-	// worker); the second is then parked in the queue.
+	// worker) and the second is parked in the queue. Probing earlier could
+	// let the probe take the queue slot and wait for a worker forever.
 	<-entered
 	deadline := time.Now().Add(5 * time.Second)
+	for s.pool.queued() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		code, m, hdr := postJSON(t, ts.URL+"/v1/analyze", req)
 		if code == http.StatusTooManyRequests {

@@ -132,7 +132,7 @@ func CheckTrace(spec *efsm.Spec, tr *trace.Trace, opts OracleOptions) (*OracleRe
 	}
 
 	o := &oracle{
-		spec: spec, exec: vm.New(spec.Prog), opts: opts,
+		spec: spec, exec: vm.New(spec.Code), opts: opts,
 		events: events, inputs: inputs, outputs: outputs,
 		res: &OracleResult{},
 	}

@@ -67,7 +67,7 @@ func explore(ctx context.Context, spec *efsm.Spec, maxStates int, paranoid bool)
 	if maxStates <= 0 {
 		maxStates = 10_000
 	}
-	exec := vm.New(spec.Prog)
+	exec := vm.New(spec.Code)
 	init, _, err := exec.RunInit()
 	if err != nil {
 		return nil, fmt.Errorf("initialize: %w", err)

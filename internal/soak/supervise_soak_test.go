@@ -131,7 +131,11 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 			if err := rec.Decode(&e); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			done[e.Index] = e.Item
+			row, err := e.Row()
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			done[e.Index] = row
 		}
 		resumed, err := supervise.Run(context.Background(), spec, items,
 			supervise.Options{Pool: pool, Done: done})

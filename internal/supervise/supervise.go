@@ -277,13 +277,15 @@ func Run(ctx context.Context, spec *efsm.Spec, items []batch.Item, opts Options)
 		sealed[idx] = true
 		s.bumpDone()
 		if opts.Journal != nil && !row.Skipped {
-			// Append errors must not lose the verdict; the row stays in the
-			// in-memory report and only resumability degrades. Skipped rows
-			// (drained on cancellation) are this run's placeholders, not
-			// durable verdicts: journaling them would make a resumed run
-			// restore "skipped" forever instead of analyzing the trace.
-			_ = opts.Journal.Append(checkpoint.KindBatchItem,
-				checkpoint.BatchEntry{Index: idx, Item: row})
+			// Encode and append errors must not lose the verdict; the row
+			// stays in the in-memory report and only resumability degrades.
+			// Skipped rows (drained on cancellation) are this run's
+			// placeholders, not durable verdicts: journaling them would make
+			// a resumed run restore "skipped" forever instead of analyzing
+			// the trace.
+			if e, err := checkpoint.NewBatchEntry(idx, row); err == nil {
+				_ = opts.Journal.Append(checkpoint.KindBatchItem, e)
+			}
 		}
 		if p.OnHeartbeat != nil {
 			s.beat(batch.Heartbeat{Worker: row.Worker, Index: idx, Item: row.Trace, Completed: true})

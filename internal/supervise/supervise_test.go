@@ -50,6 +50,20 @@ func corpus(t testing.TB, spec *efsm.Spec, nValid int) []batch.Item {
 	return items
 }
 
+// journalRow decodes one batch-item journal record as the CLI resume does.
+func journalRow(t *testing.T, rec checkpoint.Record) (int, obs.BatchItem) {
+	t.Helper()
+	var e checkpoint.BatchEntry
+	if err := rec.Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	row, err := e.Row()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Index, row
+}
+
 func fullOrder() batch.Options {
 	return batch.Options{Workers: 3, Analysis: analysis.Options{Order: analysis.OrderFull}}
 }
@@ -224,11 +238,8 @@ func TestJournalResumeEquality(t *testing.T) {
 	}
 	done := map[int]obs.BatchItem{}
 	for _, rec := range recs[:3] {
-		var e checkpoint.BatchEntry
-		if err := rec.Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		done[e.Index] = e.Item
+		idx, row := journalRow(t, rec)
+		done[idx] = row
 	}
 	resumed, err := Run(context.Background(), spec, items, Options{Pool: fullOrder(), Done: done})
 	if err != nil {
@@ -273,14 +284,11 @@ func TestDrainedRowsNotJournaled(t *testing.T) {
 	}
 	done := map[int]obs.BatchItem{}
 	for _, rec := range recs {
-		var e checkpoint.BatchEntry
-		if err := rec.Decode(&e); err != nil {
-			t.Fatal(err)
+		idx, row := journalRow(t, rec)
+		if row.Skipped {
+			t.Fatalf("skipped row journaled: %+v", row)
 		}
-		if e.Item.Skipped {
-			t.Fatalf("skipped row journaled: %+v", e.Item)
-		}
-		done[e.Index] = e.Item
+		done[idx] = row
 	}
 
 	// A resume with those rows completes the whole corpus with real verdicts,
@@ -318,5 +326,52 @@ func TestDrainOnCancel(t *testing.T) {
 	}
 	if res.ExitCode != batch.ClassInconclusive {
 		t.Fatalf("exit = %d, want %d", res.ExitCode, batch.ClassInconclusive)
+	}
+}
+
+// TestJournalKeepsMismatchRow: a row whose manifest expectation failed
+// (Match=&false) must come back from the journal with Match still set and
+// false, and a resume from it must render the uninterrupted report.
+func TestJournalKeepsMismatchRow(t *testing.T) {
+	spec := compileSpec(t)
+	items := corpus(t, spec, 1)
+	items[0].Expect = batch.ExpectInvalid // a valid trace: the expectation fails
+
+	path := filepath.Join(t.TempDir(), checkpoint.JournalFile)
+	j, err := checkpoint.CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(context.Background(), spec, items, Options{Pool: fullOrder(), Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := ref.Rows[0].Match; m == nil || *m {
+		t.Fatalf("reference row Match = %v, want &false", m)
+	}
+	want := normalized(t, BuildReport("spec", "full", spec, Options{Pool: fullOrder()}, ref))
+
+	recs, truncated, err := checkpoint.ReplayJournal(path)
+	if err != nil || truncated {
+		t.Fatalf("replay: err=%v truncated=%v", err, truncated)
+	}
+	done := map[int]obs.BatchItem{}
+	for _, rec := range recs {
+		idx, row := journalRow(t, rec)
+		done[idx] = row
+	}
+	if m := done[0].Match; m == nil || *m {
+		t.Fatalf("journaled row Match = %v, want &false", m)
+	}
+	resumed, err := Run(context.Background(), spec, items, Options{Pool: fullOrder(), Done: done})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := normalized(t, BuildReport("spec", "full", spec, Options{Pool: fullOrder()}, resumed))
+	if string(got) != string(want) {
+		t.Fatalf("resumed report differs from uninterrupted:\nwant: %s\ngot:  %s", want, got)
 	}
 }

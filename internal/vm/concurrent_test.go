@@ -1,8 +1,9 @@
 // The VM half of the compile-once/analyze-many contract: distinct Execs over
-// one shared checked program must be able to run concurrently, because every
-// batch worker drives its own VM against the same compiled specification.
-// This test fails under `go test -race` if transition execution ever writes
-// to the shared program or type tables.
+// one shared compiled vm.Code must be able to run concurrently, because every
+// batch worker, serve request and parallel-search worker drives its own VM
+// against the same compiled specification. These tests fail under
+// `go test -race` if execution ever writes to the shared code, program or
+// type tables.
 package vm_test
 
 import (
@@ -20,7 +21,7 @@ func TestDistinctExecsShareProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := spec.Prog
+	prog, code := spec.Prog, spec.Code
 	byName := make(map[string]*sema.TransInfo)
 	for _, ti := range prog.Trans {
 		byName[ti.Name] = ti
@@ -35,7 +36,7 @@ func TestDistinctExecsShareProgram(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			exec := vm.New(prog)
+			exec := vm.New(code)
 			st, _, err := exec.RunInit()
 			if err != nil {
 				t.Error(err)
@@ -81,9 +82,8 @@ func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := spec.Prog
 	var ping *sema.TransInfo
-	for _, ti := range prog.Trans {
+	for _, ti := range spec.Prog.Trans {
 		if ti.Name == "ping" {
 			ping = ti
 		}
@@ -92,7 +92,7 @@ func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 		t.Fatal("echo ping transition not found")
 	}
 
-	root := vm.New(prog)
+	root := vm.New(spec.Code)
 	rootSt, _, err := root.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			exec := vm.New(prog)
+			exec := vm.New(spec.Code)
 			for st := range work {
 				for i := 0; i < 50; i++ {
 					if _, err := exec.Execute(st, ping, nil); err != nil {

@@ -63,16 +63,43 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// Exec executes transition blocks of one checked program against a State.
-// An Exec is not safe for concurrent use; create one per analysis. Distinct
-// Execs over one shared *sema.Program are safe to run concurrently: the
-// program is read-only after semantic analysis, and all mutable execution
-// state (the current State, call frames, output buffers, decision vectors)
-// lives in the Exec and in the States it creates, which never alias across
-// Execs. This is the VM half of the compile-once/analyze-many contract that
-// the batch engine relies on; a -race test in this package enforces it.
+// Code is a checked program compiled into Go closures, the counterpart of
+// the C++ that Dingo generated: every provided clause, transition block,
+// function body and the initialize block, with symbols, types, field
+// indexes, builtins, call targets and output groups resolved once by
+// Compile. Code is immutable, so any number of Execs on any number of
+// goroutines may share one.
+type Code struct {
+	globals []*sema.VarSym
+	initTo  int
+	init    stmtFn // nil when there is no initialize block
+	trans   []transCode
+}
+
+type transCode struct {
+	ti       *sema.TransInfo
+	provided exprFn // nil when there is no provided clause
+	body     stmtFn // nil when there is no block
+}
+
+// The three closure shapes: an expression's value, a statement's effect,
+// and a designator's location.
+type (
+	exprFn func(e *Exec) (Value, error)
+	stmtFn func(e *Exec) error
+	lvalFn func(e *Exec) (*Value, error)
+)
+
+// Exec executes compiled transition blocks against a State. An Exec is not
+// safe for concurrent use; create one per analysis. Distinct Execs over one
+// shared *Code are safe to run concurrently: the code is read-only, and all
+// mutable execution state (the current State, call frames, output buffers,
+// decision vectors) lives in the Exec and in the States it creates, which
+// never alias across Execs. This is the VM half of the
+// compile-once/analyze-many contract that the batch engine relies on; a
+// -race test in this package enforces it.
 type Exec struct {
-	Prog *sema.Program
+	code *Code
 	// Partial enables §5 partial-trace semantics: undefined values
 	// propagate, undefined provided-clauses are true, and undefined branch
 	// conditions fork execution.
@@ -86,17 +113,25 @@ type Exec struct {
 	PreTransition func(name string)
 
 	state       *State
-	frames      []*frame
 	interParams []Value
 	outputs     []Output
 	steps       int
+
+	// frames is the call-frame stack, reused across calls: the first nres
+	// are reserved. A call reserves its frame before evaluating arguments,
+	// so calls nested in an argument list take the frames above it. cur is
+	// the frame of the running function body (nil in transition code) and
+	// calls counts running bodies, the recursion depth MaxCallDepth bounds.
+	frames []*frame
+	nres   int
+	calls  int
+	cur    *frame
 
 	decisions []bool
 	decUsed   int
 }
 
 type frame struct {
-	fn    *sema.FuncSym
 	slots []Value
 	refs  []*Value
 }
@@ -121,8 +156,8 @@ func rte(pos token.Pos, format string, args ...any) error {
 }
 
 // FaultError is a contained panic from transition execution: a fault the
-// interpreter itself did not anticipate (as opposed to a RuntimeError, which
-// is a diagnosed specification-level error). The analyzer treats the faulted
+// executor itself did not anticipate (as opposed to a RuntimeError, which is
+// a diagnosed specification-level error). The analyzer treats the faulted
 // transition as an infeasible branch and records the fault in its diagnosis,
 // so one broken candidate cannot crash a whole analysis.
 type FaultError struct {
@@ -138,13 +173,16 @@ func (e *FaultError) Error() string {
 	return fmt.Sprintf("execution fault in %s: %v", e.Op, e.Panic)
 }
 
-// contain is deferred around VM entry points to convert an escaping panic
-// into a *FaultError. The executor's transient fields are left dirty, but
-// begin() fully resets them on the next entry.
-func contain(op string, err *error) {
+// finish is deferred around every entry point. It converts an escaping panic
+// into a *FaultError labelled op+name (built only then) and drops the
+// references to the caller's state; begin resets everything else.
+func (e *Exec) finish(op, name string, err *error) {
 	if r := recover(); r != nil {
-		*err = &FaultError{Op: op, Panic: r, Stack: debug.Stack()}
+		*err = &FaultError{Op: op + name, Panic: r, Stack: debug.Stack()}
 	}
+	e.state = nil
+	e.interParams = nil
+	e.outputs = nil
 }
 
 // Contained reports whether err is a per-transition execution failure
@@ -158,17 +196,17 @@ func Contained(err error) bool {
 	return false
 }
 
-// New returns an executor for prog.
-func New(prog *sema.Program) *Exec {
-	return &Exec{Prog: prog, Limits: Limits{}.withDefaults()}
+// New returns an executor for code.
+func New(code *Code) *Exec {
+	return &Exec{code: code, Limits: Limits{}.withDefaults()}
 }
 
 // NewState builds the pre-initialize state: every global starts undefined in
 // partial mode, zero otherwise, with an empty heap.
 func (e *Exec) NewState() *State {
-	st := &State{FSM: e.Prog.InitTo, Heap: NewHeap()}
-	st.Globals = make([]Value, len(e.Prog.GlobalVars))
-	for i, v := range e.Prog.GlobalVars {
+	st := &State{FSM: e.code.initTo, Heap: NewHeap()}
+	st.Globals = make([]Value, len(e.code.globals))
+	for i, v := range e.code.globals {
 		st.Globals[i] = Zero(v.Type, e.Partial)
 	}
 	return st
@@ -177,16 +215,24 @@ func (e *Exec) NewState() *State {
 // RunInit creates a fresh state and executes the initialize transition,
 // returning the state and any outputs the initialize block produced.
 func (e *Exec) RunInit() (st *State, outs []Output, err error) {
-	defer contain("initialize transition", &err)
+	defer e.finish("initialize transition", "", &err)
 	st = e.NewState()
 	e.begin(st, nil, nil)
-	defer e.end()
-	if e.Prog.Init != nil && e.Prog.Init.Body != nil {
-		if err := e.execBlock(e.Prog.Init.Body); err != nil {
+	if e.code.init != nil {
+		if err := e.code.init(e); err != nil {
 			return nil, nil, err
 		}
 	}
 	return st, e.takeOutputs(), nil
+}
+
+// transCode returns ti's compiled code, refusing a transition of another
+// program.
+func (e *Exec) transCode(ti *sema.TransInfo) (*transCode, error) {
+	if ti.Index < len(e.code.trans) && e.code.trans[ti.Index].ti == ti {
+		return &e.code.trans[ti.Index], nil
+	}
+	return nil, fmt.Errorf("vm: transition %s is not part of the compiled program", ti.Name)
 }
 
 // EvalProvided evaluates a transition's provided clause against st with the
@@ -194,13 +240,16 @@ func (e *Exec) RunInit() (st *State, outs []Output, err error) {
 // mode (§5.1). Provided clauses are required to be side-effect free; any
 // function they call must not assign globals.
 func (e *Exec) EvalProvided(st *State, ti *sema.TransInfo, params []Value) (ok bool, err error) {
-	if ti.Provided == nil {
+	tc, err := e.transCode(ti)
+	if err != nil {
+		return false, err
+	}
+	if tc.provided == nil {
 		return true, nil
 	}
-	defer contain("provided clause of "+ti.Name, &err)
+	defer e.finish("provided clause of ", ti.Name, &err)
 	e.begin(st, params, nil)
-	defer e.end()
-	v, err := e.eval(ti.Provided)
+	v, err := tc.provided(e)
 	if err != nil {
 		return false, err
 	}
@@ -216,16 +265,13 @@ func (e *Exec) EvalProvided(st *State, ti *sema.TransInfo, params []Value) (ok b
 // if it needs to backtrack. Execute must not be used in partial mode when the
 // block may fork; use ExecuteForked there.
 func (e *Exec) Execute(st *State, ti *sema.TransInfo, params []Value) (outs []Output, err error) {
-	defer contain("transition "+ti.Name, &err)
-	e.begin(st, params, nil)
-	defer e.end()
-	if e.PreTransition != nil {
-		e.PreTransition(ti.Name)
+	tc, err := e.transCode(ti)
+	if err != nil {
+		return nil, err
 	}
-	if ti.Decl.Body != nil {
-		if err := e.execBlock(ti.Decl.Body); err != nil {
-			return nil, err
-		}
+	defer e.finish("transition ", ti.Name, &err)
+	if err := e.run(tc, st, params, nil); err != nil {
+		return nil, err
 	}
 	if ti.To >= 0 {
 		st.FSM = ti.To
@@ -233,11 +279,27 @@ func (e *Exec) Execute(st *State, ti *sema.TransInfo, params []Value) (outs []Ou
 	return e.takeOutputs(), nil
 }
 
+// run executes tc's block against st.
+func (e *Exec) run(tc *transCode, st *State, params []Value, decisions []bool) error {
+	e.begin(st, params, decisions)
+	if e.PreTransition != nil {
+		e.PreTransition(tc.ti.Name)
+	}
+	if tc.body == nil {
+		return nil
+	}
+	return tc.body(e)
+}
+
 // ExecuteForked runs ti against snapshots of st, enumerating every feasible
 // assignment of undefined branch conditions up to Limits.MaxForks. In normal
 // (non-partial) mode it returns exactly one result. Branches that hit runtime
 // errors are dropped; if every branch errors, the first error is returned.
 func (e *Exec) ExecuteForked(st *State, ti *sema.TransInfo, params []Value) ([]TransResult, error) {
+	tc, err := e.transCode(ti)
+	if err != nil {
+		return nil, err
+	}
 	queue := [][]bool{nil}
 	var results []TransResult
 	var firstErr error
@@ -254,16 +316,9 @@ func (e *Exec) ExecuteForked(st *State, ti *sema.TransInfo, params []Value) ([]T
 		// Each decision vector executes behind its own panic barrier so a
 		// fault on one branch leaves the siblings explorable.
 		outs, used, err := func() (outs []Output, used int, err error) {
-			defer contain("transition "+ti.Name, &err)
-			e.begin(snap, params, d)
-			defer e.end()
-			if e.PreTransition != nil {
-				e.PreTransition(ti.Name)
-			}
-			if ti.Decl.Body != nil {
-				if err := e.execBlock(ti.Decl.Body); err != nil {
-					return nil, e.decUsed, err
-				}
+			defer e.finish("transition ", ti.Name, &err)
+			if err := e.run(tc, snap, params, d); err != nil {
+				return nil, e.decUsed, err
 			}
 			return e.takeOutputs(), e.decUsed, nil
 		}()
@@ -301,15 +356,9 @@ func (e *Exec) begin(st *State, params []Value, decisions []bool) {
 	e.interParams = params
 	e.outputs = nil
 	e.steps = 0
-	e.frames = e.frames[:0]
+	e.nres, e.calls, e.cur = 0, 0, nil
 	e.decisions = decisions
 	e.decUsed = 0
-}
-
-func (e *Exec) end() {
-	e.state = nil
-	e.interParams = nil
-	e.outputs = nil
 }
 
 func (e *Exec) takeOutputs() []Output {
@@ -328,16 +377,7 @@ func (e *Exec) decide() bool {
 	return b
 }
 
-func (e *Exec) top() *frame {
-	if len(e.frames) == 0 {
-		return nil
-	}
-	return e.frames[len(e.frames)-1]
-}
-
-// ---------------------------------------------------------------------------
-// Statements
-
+// step charges one statement against the budget.
 func (e *Exec) step(pos token.Pos) error {
 	e.steps++
 	if e.steps > e.Limits.MaxSteps {
@@ -346,370 +386,531 @@ func (e *Exec) step(pos token.Pos) error {
 	return nil
 }
 
-func (e *Exec) execBlock(b *ast.Block) error {
-	for _, s := range b.Stmts {
-		if err := e.execStmt(s); err != nil {
-			return err
-		}
+// reserve takes the next frame off the stack, sized for n slots.
+func (e *Exec) reserve(n int) *frame {
+	if e.nres == len(e.frames) {
+		e.frames = append(e.frames, new(frame))
 	}
-	return nil
+	fr := e.frames[e.nres]
+	e.nres++
+	if cap(fr.slots) < n {
+		fr.slots, fr.refs = make([]Value, n), make([]*Value, n)
+	}
+	fr.slots, fr.refs = fr.slots[:n], fr.refs[:n]
+	return fr
 }
 
-func (e *Exec) execStmt(s ast.Stmt) error {
-	if err := e.step(s.Pos()); err != nil {
-		return err
+// ---------------------------------------------------------------------------
+// Compilation
+
+// Compile translates a checked program into closures. It reads the
+// per-node tables of prog.Info only here; the Code keeps none of them.
+func Compile(prog *sema.Program) *Code {
+	if prog.Info == nil || prog.Info.Uses == nil {
+		panic("vm: Compile needs the sema.Info of a freshly checked program")
 	}
+	c := &compiler{info: prog.Info, funcs: make([]*funcCode, len(prog.Funcs))}
+	// Allocate every function first so calls, recursive ones included,
+	// bind to their callee's code before its body is compiled.
+	for i := range prog.Funcs {
+		c.funcs[i] = new(funcCode)
+	}
+	for i, fs := range prog.Funcs {
+		c.funcs[i].body = c.seq(fs.Decl.Body.Stmts)
+	}
+	code := &Code{globals: prog.GlobalVars, initTo: prog.InitTo, trans: make([]transCode, len(prog.Trans))}
+	if prog.Init != nil && prog.Init.Body != nil {
+		code.init = c.seq(prog.Init.Body.Stmts)
+	}
+	for i, ti := range prog.Trans {
+		tc := &code.trans[i]
+		tc.ti = ti
+		if ti.Provided != nil {
+			tc.provided = c.expr(ti.Provided)
+		}
+		if ti.Decl.Body != nil {
+			tc.body = c.seq(ti.Decl.Body.Stmts)
+		}
+	}
+	return code
+}
+
+type compiler struct {
+	info  *sema.Info
+	funcs []*funcCode // by FuncSym.Index
+}
+
+type funcCode struct{ body stmtFn }
+
+func failExpr(pos token.Pos, format string, args ...any) exprFn {
+	err := rte(pos, format, args...)
+	return func(*Exec) (Value, error) { return Value{}, err }
+}
+
+func failLval(pos token.Pos, format string, args ...any) lvalFn {
+	err := rte(pos, format, args...)
+	return func(*Exec) (*Value, error) { return nil, err }
+}
+
+func failStmt(pos token.Pos, format string, args ...any) stmtFn {
+	err := rte(pos, format, args...)
+	return func(*Exec) error { return err }
+}
+
+// ---------------------------------------------------------------------------
+// Statements
+
+// seq runs stmts in order.
+func (c *compiler) seq(stmts []ast.Stmt) stmtFn {
+	fns := make([]stmtFn, len(stmts))
+	for i, s := range stmts {
+		fns[i] = c.stmt(s)
+	}
+	if len(fns) == 1 {
+		return fns[0]
+	}
+	return func(e *Exec) error {
+		for _, f := range fns {
+			if err := f(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// stmt compiles s behind its charge against the statement budget.
+func (c *compiler) stmt(s ast.Stmt) stmtFn {
+	pos, run := s.Pos(), c.stmtBody(s)
+	return func(e *Exec) error {
+		if err := e.step(pos); err != nil {
+			return err
+		}
+		return run(e)
+	}
+}
+
+func (c *compiler) stmtBody(s ast.Stmt) stmtFn {
+	pos := s.Pos()
 	switch s := s.(type) {
 	case *ast.Block:
-		return e.execBlock(s)
+		return c.seq(s.Stmts)
 	case *ast.EmptyStmt:
-		return nil
+		return func(*Exec) error { return nil }
 	case *ast.AssignStmt:
-		v, err := e.eval(s.RHS)
-		if err != nil {
-			return err
-		}
-		lv, err := e.lvalue(s.LHS)
-		if err != nil {
-			return err
-		}
-		return e.assign(lv, v, s.Pos())
-	case *ast.IfStmt:
-		b, err := e.evalCond(s.Cond)
-		if err != nil {
-			return err
-		}
-		if b {
-			return e.execStmt(s.Then)
-		}
-		if s.Else != nil {
-			return e.execStmt(s.Else)
-		}
-		return nil
-	case *ast.WhileStmt:
-		for {
-			b, err := e.evalCond(s.Cond)
+		rhs, lhs := c.expr(s.RHS), c.lvalue(s.LHS)
+		return func(e *Exec) error {
+			v, err := rhs(e)
 			if err != nil {
 				return err
 			}
-			if !b {
-				return nil
-			}
-			if err := e.execStmt(s.Body); err != nil {
+			lv, err := lhs(e)
+			if err != nil {
 				return err
 			}
-			if err := e.step(s.Pos()); err != nil {
-				return err
-			}
+			return assign(lv, v, pos)
 		}
-	case *ast.RepeatStmt:
-		for {
-			for _, st := range s.Body {
-				if err := e.execStmt(st); err != nil {
+	case *ast.IfStmt:
+		cond, then, els := c.cond(s.Cond), c.stmt(s.Then), stmtFn(nil)
+		if s.Else != nil {
+			els = c.stmt(s.Else)
+		}
+		return func(e *Exec) error {
+			b, err := cond(e)
+			switch {
+			case err != nil:
+				return err
+			case b:
+				return then(e)
+			case els != nil:
+				return els(e)
+			}
+			return nil
+		}
+	case *ast.WhileStmt:
+		cond, body := c.cond(s.Cond), c.stmt(s.Body)
+		return func(e *Exec) error {
+			for {
+				b, err := cond(e)
+				if err != nil || !b {
+					return err
+				}
+				if err := body(e); err != nil {
+					return err
+				}
+				if err := e.step(pos); err != nil {
 					return err
 				}
 			}
-			b, err := e.evalCond(s.Cond)
-			if err != nil {
-				return err
-			}
-			if b {
-				return nil
-			}
-			if err := e.step(s.Pos()); err != nil {
-				return err
+		}
+	case *ast.RepeatStmt:
+		body, cond := c.seq(s.Body), c.cond(s.Cond)
+		return func(e *Exec) error {
+			for {
+				if err := body(e); err != nil {
+					return err
+				}
+				b, err := cond(e)
+				if err != nil || b {
+					return err
+				}
+				if err := e.step(pos); err != nil {
+					return err
+				}
 			}
 		}
 	case *ast.ForStmt:
-		return e.execFor(s)
+		return c.forStmt(s)
 	case *ast.CaseStmt:
-		return e.execCase(s)
+		return c.caseStmt(s)
 	case *ast.OutputStmt:
-		return e.execOutput(s)
+		return c.output(s)
 	case *ast.CallStmt:
-		if b, ok := e.Prog.Info.Builtins[ast.Node(s)]; ok {
-			return e.execBuiltinStmt(s, b)
+		if b, ok := c.info.Builtins[s]; ok {
+			return c.builtinStmt(s, b)
 		}
-		fs := e.Prog.Info.Calls[ast.Node(s)]
+		fs := c.info.Calls[s]
 		if fs == nil {
-			return rte(s.Pos(), "unresolved procedure %s", s.Name)
+			return failStmt(pos, "unresolved procedure %s", s.Name)
 		}
-		_, err := e.call(fs, s.Args, s.Pos())
-		return err
+		call := c.call(fs, s.Args, pos)
+		return func(e *Exec) error {
+			_, err := call(e)
+			return err
+		}
 	default:
-		return rte(s.Pos(), "unsupported statement")
+		return failStmt(pos, "unsupported statement")
 	}
 }
 
-func (e *Exec) execFor(s *ast.ForStmt) error {
-	vs := e.Prog.Info.ForVars[s]
+func (c *compiler) forStmt(s *ast.ForStmt) stmtFn {
+	pos := s.Pos()
+	vs := c.info.ForVars[s]
 	if vs == nil {
-		return rte(s.Pos(), "unresolved for-loop variable %s", s.Var)
+		return failStmt(pos, "unresolved for-loop variable %s", s.Var)
 	}
-	from, err := e.eval(s.From)
-	if err != nil {
-		return err
-	}
-	to, err := e.eval(s.To)
-	if err != nil {
-		return err
-	}
-	if from.Undef || to.Undef {
-		return rte(s.Pos(), "for-loop bound is undefined")
-	}
-	lv, err := e.varLocation(vs, s.Pos())
-	if err != nil {
-		return err
-	}
-	i := from.I
-	for {
-		if s.Down && i < to.I || !s.Down && i > to.I {
-			return nil
-		}
-		if err := e.assign(lv, MakeOrdinal(vs.Type.Root(), i), s.Pos()); err != nil {
+	from, to, loc, body := c.expr(s.From), c.expr(s.To), c.varRef(vs, pos), c.stmt(s.Body)
+	t, down := vs.Type.Root(), s.Down
+	return func(e *Exec) error {
+		fv, err := from(e)
+		if err != nil {
 			return err
 		}
-		if err := e.execStmt(s.Body); err != nil {
+		tv, err := to(e)
+		if err != nil {
 			return err
 		}
-		if err := e.step(s.Pos()); err != nil {
+		if fv.Undef || tv.Undef {
+			return rte(pos, "for-loop bound is undefined")
+		}
+		lv, err := loc(e)
+		if err != nil {
 			return err
 		}
-		if s.Down {
-			i--
-		} else {
-			i++
-		}
-	}
-}
-
-func (e *Exec) execCase(s *ast.CaseStmt) error {
-	sel, err := e.eval(s.Expr)
-	if err != nil {
-		return err
-	}
-	if sel.Undef {
-		// Partial mode: fork over the arms with one binary decision each
-		// (§5.3); the first arm whose decision is true executes.
-		if !e.Partial {
-			return rte(s.Pos(), "case selector is undefined")
-		}
-		for _, arm := range s.Arms {
-			if e.decide() {
-				return e.execStmt(arm.Body)
-			}
-		}
-		for _, st := range s.Else {
-			if err := e.execStmt(st); err != nil {
+		for i := fv.I; !(down && i < tv.I || !down && i > tv.I); {
+			if err := assign(lv, MakeOrdinal(t, i), pos); err != nil {
 				return err
+			}
+			if err := body(e); err != nil {
+				return err
+			}
+			if err := e.step(pos); err != nil {
+				return err
+			}
+			if down {
+				i--
+			} else {
+				i++
 			}
 		}
 		return nil
 	}
-	for _, arm := range s.Arms {
-		for _, lab := range arm.Labels {
-			lv, err := e.eval(lab)
-			if err != nil {
-				return err
-			}
-			if !lv.Undef && lv.I == sel.I {
-				return e.execStmt(arm.Body)
-			}
-		}
-	}
-	for _, st := range s.Else {
-		if err := e.execStmt(st); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-func (e *Exec) execOutput(s *ast.OutputStmt) error {
-	group := e.Prog.Info.OutputGroup[s]
-	inter := e.Prog.Info.OutputInter[s]
-	if group == nil || inter == nil {
-		return rte(s.Pos(), "unresolved output statement")
+func (c *compiler) caseStmt(s *ast.CaseStmt) stmtFn {
+	pos := s.Pos()
+	type arm struct {
+		labels []exprFn
+		body   stmtFn
 	}
-	ip := group.Base
+	sel, els := c.expr(s.Expr), c.seq(s.Else)
+	arms := make([]arm, len(s.Arms))
+	for i, a := range s.Arms {
+		arms[i] = arm{labels: c.exprs(a.Labels), body: c.stmt(a.Body)}
+	}
+	return func(e *Exec) error {
+		v, err := sel(e)
+		if err != nil {
+			return err
+		}
+		if v.Undef {
+			// Partial mode: fork over the arms with one binary decision each
+			// (§5.3); the first arm whose decision is true executes.
+			if !e.Partial {
+				return rte(pos, "case selector is undefined")
+			}
+			for _, a := range arms {
+				if e.decide() {
+					return a.body(e)
+				}
+			}
+			return els(e)
+		}
+		for _, a := range arms {
+			for _, lab := range a.labels {
+				lv, err := lab(e)
+				if err != nil {
+					return err
+				}
+				if !lv.Undef && lv.I == v.I {
+					return a.body(e)
+				}
+			}
+		}
+		return els(e)
+	}
+}
+
+func (c *compiler) output(s *ast.OutputStmt) stmtFn {
+	pos := s.Pos()
+	group, inter := c.info.OutputGroup[s], c.info.OutputInter[s]
+	if group == nil || inter == nil {
+		return failStmt(pos, "unresolved output statement")
+	}
+	var idx []ast.Expr
 	if len(group.Dims) > 0 {
 		ix, ok := s.IP.(*ast.IndexExpr)
 		if !ok {
-			return rte(s.Pos(), "output to ip array %s without index", group.Name)
+			return failStmt(pos, "output to ip array %s without index", group.Name)
 		}
-		vals := make([]int64, len(ix.Indexes))
-		for i, ie := range ix.Indexes {
-			v, err := e.eval(ie)
+		idx = ix.Indexes
+	}
+	idxFns, args, argPos := c.exprs(idx), c.exprs(s.Args), positions(s.Args)
+	return func(e *Exec) error {
+		ip := group.Base
+		if len(idxFns) > 0 {
+			vals := make([]int64, len(idxFns))
+			for i, f := range idxFns {
+				v, err := f(e)
+				if err != nil {
+					return err
+				}
+				if v.Undef {
+					// §5.4: an undefined interaction-point index cannot be
+					// resolved; this is one of the cases that makes partial
+					// trace analysis of demultiplexers impossible.
+					return rte(idx[i].Pos(), "output ip index is undefined")
+				}
+				vals[i] = v.I
+			}
+			off := group.FlatIndex(vals)
+			if off < 0 {
+				return rte(pos, "output ip index out of range for %s", group.Name)
+			}
+			ip += off
+		}
+		params := make([]Value, len(args))
+		for i, a := range args {
+			v, err := a(e)
+			if err == nil {
+				v, err = coerce(inter.Params[i].Type, v, argPos[i])
+			}
 			if err != nil {
 				return err
 			}
-			if v.Undef {
-				// §5.4: an undefined interaction-point index cannot be
-				// resolved; this is one of the cases that makes partial
-				// trace analysis of demultiplexers impossible.
-				return rte(ie.Pos(), "output ip index is undefined")
-			}
-			vals[i] = v.I
+			params[i] = v.Copy()
 		}
-		off := group.FlatIndex(vals)
-		if off < 0 {
-			return rte(s.Pos(), "output ip index out of range for %s", group.Name)
-		}
-		ip = group.Base + off
+		e.outputs = append(e.outputs, Output{IP: ip, Inter: inter, Params: params})
+		return nil
 	}
-	params := make([]Value, len(s.Args))
-	for i, a := range s.Args {
-		v, err := e.eval(a)
-		if err != nil {
-			return err
-		}
-		cv, err := e.coerce(inter.Params[i].Type, v, a.Pos())
-		if err != nil {
-			return err
-		}
-		params[i] = cv.Copy()
-	}
-	e.outputs = append(e.outputs, Output{IP: ip, Inter: inter, Params: params})
-	return nil
 }
 
-func (e *Exec) execBuiltinStmt(s *ast.CallStmt, b sema.Builtin) error {
-	switch b {
-	case sema.BuiltinNew:
-		lv, err := e.lvalue(s.Args[0])
+func (c *compiler) builtinStmt(s *ast.CallStmt, b sema.Builtin) stmtFn {
+	pos := s.Pos()
+	if b != sema.BuiltinNew && b != sema.BuiltinDispose {
+		return failStmt(pos, "builtin %s cannot be used as a statement", s.Name)
+	}
+	ptr := c.lvalue(s.Args[0])
+	return func(e *Exec) error {
+		lv, err := ptr(e)
 		if err != nil {
 			return err
+		}
+		heap := e.state.Heap
+		if b == sema.BuiltinDispose {
+			if lv.Undef {
+				return rte(pos, "dispose of undefined pointer")
+			}
+			if err := heap.Dispose(lv.I); err != nil {
+				return rte(pos, "%v", err)
+			}
+			lv.I = 0
+			return nil
 		}
 		if lv.T.Kind != types.Pointer || lv.T.Elem == nil {
-			return rte(s.Pos(), "new on non-pointer")
+			return rte(pos, "new on non-pointer")
 		}
-		if max := e.Limits.MaxHeapCells; max > 0 && e.state.Heap.Len() >= max {
-			return rte(s.Pos(), "heap budget exceeded (%d live cells); possible allocation loop", max)
+		if max := e.Limits.MaxHeapCells; max > 0 && heap.Len() >= max {
+			return rte(pos, "heap budget exceeded (%d live cells); possible allocation loop", max)
 		}
-		lv.I = e.state.Heap.Alloc(lv.T.Elem, e.Partial)
+		lv.I = heap.Alloc(lv.T.Elem, e.Partial)
 		lv.Undef = false
 		return nil
-	case sema.BuiltinDispose:
-		lv, err := e.lvalue(s.Args[0])
+	}
+}
+
+// cond compiles a statement condition; undefined conditions fork in partial
+// mode (§5.3) and are errors otherwise.
+func (c *compiler) cond(x ast.Expr) func(*Exec) (bool, error) {
+	f, pos := c.expr(x), x.Pos()
+	return func(e *Exec) (bool, error) {
+		v, err := f(e)
 		if err != nil {
-			return err
+			return false, err
 		}
-		if lv.Undef {
-			return rte(s.Pos(), "dispose of undefined pointer")
+		if v.Undef {
+			if !e.Partial {
+				return false, rte(pos, "condition is undefined")
+			}
+			return e.decide(), nil
 		}
-		if err := e.state.Heap.Dispose(lv.I); err != nil {
-			return rte(s.Pos(), "%v", err)
-		}
-		lv.I = 0
-		return nil
-	default:
-		return rte(s.Pos(), "builtin %s cannot be used as a statement", s.Name)
+		return v.Bool(), nil
 	}
 }
 
 // ---------------------------------------------------------------------------
 // L-values and assignment
 
-func (e *Exec) varLocation(vs *sema.VarSym, pos token.Pos) (*Value, error) {
+// varRef compiles the location of variable vs.
+func (c *compiler) varRef(vs *sema.VarSym, pos token.Pos) lvalFn {
+	slot := vs.Slot
 	switch vs.Kind {
 	case sema.GlobalVar:
-		return &e.state.Globals[vs.Slot], nil
+		return func(e *Exec) (*Value, error) { return &e.state.Globals[slot], nil }
 	case sema.LocalVar, sema.ResultVar:
-		fr := e.top()
-		if fr == nil {
-			return nil, rte(pos, "local variable %s outside a function", vs.Name)
-		}
-		return &fr.slots[vs.Slot], nil
+		return func(e *Exec) (*Value, error) { return &e.cur.slots[slot], nil }
 	case sema.RefParam:
-		fr := e.top()
-		if fr == nil || fr.refs[vs.Slot] == nil {
-			return nil, rte(pos, "unbound var-parameter %s", vs.Name)
-		}
-		return fr.refs[vs.Slot], nil
+		return func(e *Exec) (*Value, error) { return e.cur.refs[slot], nil }
 	case sema.InterParamVar:
-		if vs.Slot >= len(e.interParams) {
-			return nil, rte(pos, "interaction parameter %s not bound", vs.Name)
+		return func(e *Exec) (*Value, error) {
+			if slot >= len(e.interParams) {
+				return nil, rte(pos, "interaction parameter %s not bound", vs.Name)
+			}
+			return &e.interParams[slot], nil
 		}
-		return &e.interParams[vs.Slot], nil
 	default:
-		return nil, rte(pos, "cannot locate variable %s", vs.Name)
+		return failLval(pos, "cannot locate variable %s", vs.Name)
 	}
 }
 
-func (e *Exec) lvalue(x ast.Expr) (*Value, error) {
+func (c *compiler) lvalue(x ast.Expr) lvalFn {
+	pos := x.Pos()
 	switch x := x.(type) {
 	case *ast.Ident:
-		sym := e.Prog.Info.Uses[x]
-		vs, ok := sym.(*sema.VarSym)
+		vs, ok := c.info.Uses[x].(*sema.VarSym)
 		if !ok {
-			return nil, rte(x.Pos(), "%s is not assignable", x.Name)
+			return failLval(pos, "%s is not assignable", x.Name)
 		}
-		return e.varLocation(vs, x.Pos())
+		return c.varRef(vs, pos)
 	case *ast.IndexExpr:
-		base, err := e.lvalue(x.X)
-		if err != nil {
-			return nil, err
+		base, index := c.lvalue(x.X), c.index(x)
+		return func(e *Exec) (*Value, error) {
+			b, err := base(e)
+			if err != nil {
+				return nil, err
+			}
+			off, err := index(e, b.T)
+			if err != nil {
+				return nil, err
+			}
+			return &b.Elems[off], nil
 		}
-		off, err := e.flatIndex(base.T, x)
-		if err != nil {
-			return nil, err
-		}
-		return &base.Elems[off], nil
 	case *ast.SelectorExpr:
-		base, err := e.lvalue(x.X)
-		if err != nil {
-			return nil, err
+		base, field := c.lvalue(x.X), c.field(x)
+		return func(e *Exec) (*Value, error) {
+			b, err := base(e)
+			if err != nil {
+				return nil, err
+			}
+			i, err := field(b.T)
+			if err != nil {
+				return nil, err
+			}
+			return &b.Elems[i], nil
 		}
-		i := base.T.Root().FieldIndex(x.Field)
-		if i < 0 {
-			return nil, rte(x.Pos(), "no field %s", x.Field)
-		}
-		return &base.Elems[i], nil
 	case *ast.DerefExpr:
-		pv, err := e.eval(x.X)
-		if err != nil {
-			return nil, err
+		ptr := c.expr(x.X)
+		return func(e *Exec) (*Value, error) {
+			pv, err := ptr(e)
+			if err != nil {
+				return nil, err
+			}
+			if pv.Undef {
+				return nil, rte(pos, "dereference of undefined pointer")
+			}
+			cell, err := e.state.Heap.Get(pv.I)
+			if err != nil {
+				return nil, rte(pos, "%v", err)
+			}
+			return cell, nil
 		}
-		if pv.Undef {
-			return nil, rte(x.Pos(), "dereference of undefined pointer")
-		}
-		cell, err := e.state.Heap.Get(pv.I)
-		if err != nil {
-			return nil, rte(x.Pos(), "%v", err)
-		}
-		return cell, nil
 	default:
-		return nil, rte(x.Pos(), "expression is not assignable")
+		return failLval(pos, "expression is not assignable")
 	}
 }
 
-// flatIndex computes the flattened element offset for an index expression
-// over an array-typed base.
-func (e *Exec) flatIndex(at *types.Type, x *ast.IndexExpr) (int, error) {
-	at = at.Root()
-	if at.Kind != types.Array {
-		return 0, rte(x.Pos(), "indexing non-array")
+// index compiles x's index list into the flattened element offset within an
+// array of run-time type t.
+func (c *compiler) index(x *ast.IndexExpr) func(e *Exec, t *types.Type) (int, error) {
+	pos, idx, ipos := x.Pos(), c.exprs(x.Indexes), positions(x.Indexes)
+	return func(e *Exec, t *types.Type) (int, error) {
+		at := t.Root()
+		if at.Kind != types.Array {
+			return 0, rte(pos, "indexing non-array")
+		}
+		off := 0
+		for d, f := range idx {
+			v, err := f(e)
+			if err != nil {
+				return 0, err
+			}
+			if v.Undef {
+				return 0, rte(ipos[d], "array index is undefined")
+			}
+			lo, hi := at.Indexes[d].OrdinalRange()
+			if v.I < lo || v.I > hi {
+				return 0, rte(ipos[d], "array index %d out of range %d..%d", v.I, lo, hi)
+			}
+			off = off*int(hi-lo+1) + int(v.I-lo)
+		}
+		return off, nil
 	}
-	off := 0
-	for d, ie := range x.Indexes {
-		v, err := e.eval(ie)
-		if err != nil {
-			return 0, err
-		}
-		if v.Undef {
-			return 0, rte(ie.Pos(), "array index is undefined")
-		}
-		lo, hi := at.Indexes[d].OrdinalRange()
-		if v.I < lo || v.I > hi {
-			return 0, rte(ie.Pos(), "array index %d out of range %d..%d", v.I, lo, hi)
-		}
-		off = off*int(hi-lo+1) + int(v.I-lo)
+}
+
+// field compiles x's field selection into the field's index within a record
+// of run-time type t. The index is resolved here for the checked type;
+// structurally equal record types share field order, so only a value of
+// another type needs a lookup by name.
+func (c *compiler) field(x *ast.SelectorExpr) func(t *types.Type) (int, error) {
+	pos, name, static := x.Pos(), x.Field, c.info.Types[x.X]
+	at := -1
+	if static != nil {
+		at = static.Root().FieldIndex(name)
 	}
-	return off, nil
+	return func(t *types.Type) (int, error) {
+		i := at
+		if t != static {
+			i = t.Root().FieldIndex(name)
+		}
+		if i < 0 {
+			return 0, rte(pos, "no field %s", name)
+		}
+		return i, nil
+	}
 }
 
 // coerce adapts v to location type dst, performing Pascal range checks.
-func (e *Exec) coerce(dst *types.Type, v Value, pos token.Pos) (Value, error) {
+func coerce(dst *types.Type, v Value, pos token.Pos) (Value, error) {
 	if v.Undef {
 		return Zero(dst, true), nil
 	}
@@ -719,13 +920,12 @@ func (e *Exec) coerce(dst *types.Type, v Value, pos token.Pos) (Value, error) {
 			return Value{}, rte(pos, "value %d out of range %d..%d", v.I, lo, hi)
 		}
 	}
-	out := v
-	out.T = dst
-	return out, nil
+	v.T = dst
+	return v, nil
 }
 
-func (e *Exec) assign(lv *Value, v Value, pos token.Pos) error {
-	cv, err := e.coerce(lv.T, v, pos)
+func assign(lv *Value, v Value, pos token.Pos) error {
+	cv, err := coerce(lv.T, v, pos)
 	if err != nil {
 		return err
 	}
@@ -738,233 +938,273 @@ func (e *Exec) assign(lv *Value, v Value, pos token.Pos) error {
 // ---------------------------------------------------------------------------
 // Expressions
 
-// evalCond evaluates a statement condition; undefined conditions fork in
-// partial mode (§5.3) and are errors otherwise.
-func (e *Exec) evalCond(x ast.Expr) (bool, error) {
-	v, err := e.eval(x)
-	if err != nil {
-		return false, err
-	}
-	if v.Undef {
-		if !e.Partial {
-			return false, rte(x.Pos(), "condition is undefined")
-		}
-		return e.decide(), nil
-	}
-	return v.Bool(), nil
+func constExpr(v Value) exprFn {
+	return func(*Exec) (Value, error) { return v, nil }
 }
 
-func (e *Exec) eval(x ast.Expr) (Value, error) {
+func positions(xs []ast.Expr) []token.Pos {
+	ps := make([]token.Pos, len(xs))
+	for i, x := range xs {
+		ps[i] = x.Pos()
+	}
+	return ps
+}
+
+func (c *compiler) exprs(xs []ast.Expr) []exprFn {
+	fns := make([]exprFn, len(xs))
+	for i, x := range xs {
+		fns[i] = c.expr(x)
+	}
+	return fns
+}
+
+func (c *compiler) expr(x ast.Expr) exprFn {
+	pos := x.Pos()
 	switch x := x.(type) {
 	case *ast.IntLit:
-		return MakeInt(x.Value), nil
+		return constExpr(MakeInt(x.Value))
 	case *ast.BoolLit:
-		return MakeBool(x.Value), nil
+		return constExpr(MakeBool(x.Value))
 	case *ast.CharLit:
-		return MakeOrdinal(types.Chr, int64(x.Value)), nil
+		return constExpr(MakeOrdinal(types.Chr, int64(x.Value)))
 	case *ast.Ident:
-		sym := e.Prog.Info.Uses[x]
-		switch sym := sym.(type) {
+		switch sym := c.info.Uses[x].(type) {
 		case *sema.VarSym:
-			lv, err := e.varLocation(sym, x.Pos())
+			return c.load(sym, pos)
+		case *sema.ConstSym:
+			if sema.NilConst(sym) {
+				return constExpr(Value{T: sym.Type})
+			}
+			return constExpr(MakeOrdinal(sym.Type, sym.Val))
+		case *sema.FuncSym:
+			return c.call(sym, nil, pos)
+		default:
+			return failExpr(pos, "unresolved identifier %s", x.Name)
+		}
+	case *ast.UnaryExpr:
+		return c.unary(x)
+	case *ast.BinaryExpr:
+		return c.binary(x)
+	case *ast.IndexExpr:
+		base, index, t := c.expr(x.X), c.index(x), c.info.Types[x]
+		return func(e *Exec) (Value, error) {
+			b, err := base(e)
 			if err != nil {
 				return Value{}, err
 			}
-			return *lv, nil
-		case *sema.ConstSym:
-			if sema.NilConst(sym) {
-				return Value{T: sym.Type}, nil
+			if b.Undef {
+				return UndefValue(t), nil
 			}
-			return MakeOrdinal(sym.Type, sym.Val), nil
-		case *sema.FuncSym:
-			return e.call(sym, nil, x.Pos())
-		default:
-			return Value{}, rte(x.Pos(), "unresolved identifier %s", x.Name)
+			off, err := index(e, b.T)
+			if err != nil {
+				return Value{}, err
+			}
+			return b.Elems[off], nil
 		}
-	case *ast.UnaryExpr:
-		v, err := e.eval(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.Undef {
-			return UndefValue(v.T), nil
-		}
-		switch x.Op {
-		case token.NOT:
-			return MakeBool(!v.Bool()), nil
-		case token.MINUS:
-			return MakeInt(-v.I), nil
-		default:
-			return MakeInt(v.I), nil
-		}
-	case *ast.BinaryExpr:
-		return e.evalBinary(x)
-	case *ast.IndexExpr:
-		base, err := e.eval(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		if base.Undef {
-			t := e.Prog.Info.Types[ast.Expr(x)]
-			return UndefValue(t), nil
-		}
-		off, err := e.flatIndex(base.T, x)
-		if err != nil {
-			return Value{}, err
-		}
-		return base.Elems[off], nil
 	case *ast.SelectorExpr:
-		base, err := e.eval(x.X)
-		if err != nil {
-			return Value{}, err
+		base, field := c.expr(x.X), c.field(x)
+		return func(e *Exec) (Value, error) {
+			b, err := base(e)
+			if err != nil {
+				return Value{}, err
+			}
+			i, err := field(b.T)
+			if err != nil {
+				return Value{}, err
+			}
+			if b.Undef {
+				return UndefValue(b.T.Root().Fields[i].Type), nil
+			}
+			return b.Elems[i], nil
 		}
-		i := base.T.Root().FieldIndex(x.Field)
-		if i < 0 {
-			return Value{}, rte(x.Pos(), "no field %s", x.Field)
-		}
-		if base.Undef {
-			return UndefValue(base.T.Root().Fields[i].Type), nil
-		}
-		return base.Elems[i], nil
 	case *ast.DerefExpr:
 		// Read-only dereference: Load avoids the copy-on-write unsharing
 		// that the assignable path (lvalue) performs via Heap.Get, so pure
 		// reads never force a cell copy after a snapshot.
-		pv, err := e.eval(x.X)
-		if err != nil {
-			return Value{}, err
+		ptr := c.expr(x.X)
+		return func(e *Exec) (Value, error) {
+			pv, err := ptr(e)
+			if err != nil {
+				return Value{}, err
+			}
+			if pv.Undef {
+				return Value{}, rte(pos, "dereference of undefined pointer")
+			}
+			cv, err := e.state.Heap.Load(pv.I)
+			if err != nil {
+				return Value{}, rte(pos, "%v", err)
+			}
+			return *cv, nil
 		}
-		if pv.Undef {
-			return Value{}, rte(x.Pos(), "dereference of undefined pointer")
-		}
-		cv, err := e.state.Heap.Load(pv.I)
-		if err != nil {
-			return Value{}, rte(x.Pos(), "%v", err)
-		}
-		return *cv, nil
 	case *ast.CallExpr:
-		if b, ok := e.Prog.Info.Builtins[ast.Node(x)]; ok {
-			return e.evalBuiltin(x, b)
+		if b, ok := c.info.Builtins[x]; ok {
+			return c.builtin(x, b)
 		}
-		fs := e.Prog.Info.Calls[ast.Node(x)]
+		fs := c.info.Calls[x]
 		if fs == nil {
-			return Value{}, rte(x.Pos(), "unresolved function %s", x.Name)
+			return failExpr(pos, "unresolved function %s", x.Name)
 		}
-		return e.call(fs, x.Args, x.Pos())
+		return c.call(fs, x.Args, pos)
 	case *ast.SetLit:
-		return e.evalSetLit(x)
+		return c.setLit(x)
 	default:
-		return Value{}, rte(x.Pos(), "unsupported expression")
+		return failExpr(pos, "unsupported expression")
 	}
 }
 
-func (e *Exec) evalSetLit(x *ast.SetLit) (Value, error) {
-	t := e.Prog.Info.Types[ast.Expr(x)]
+// load compiles a read of variable vs.
+func (c *compiler) load(vs *sema.VarSym, pos token.Pos) exprFn {
+	slot := vs.Slot
+	switch vs.Kind {
+	case sema.GlobalVar:
+		return func(e *Exec) (Value, error) { return e.state.Globals[slot], nil }
+	case sema.LocalVar, sema.ResultVar:
+		return func(e *Exec) (Value, error) { return e.cur.slots[slot], nil }
+	case sema.RefParam:
+		return func(e *Exec) (Value, error) { return *e.cur.refs[slot], nil }
+	case sema.InterParamVar:
+		return func(e *Exec) (Value, error) {
+			if slot >= len(e.interParams) {
+				return Value{}, rte(pos, "interaction parameter %s not bound", vs.Name)
+			}
+			return e.interParams[slot], nil
+		}
+	default:
+		return failExpr(pos, "cannot locate variable %s", vs.Name)
+	}
+}
+
+func (c *compiler) unary(x *ast.UnaryExpr) exprFn {
+	operand, op := c.expr(x.X), x.Op
+	return func(e *Exec) (Value, error) {
+		v, err := operand(e)
+		if err != nil {
+			return Value{}, err
+		}
+		switch {
+		case v.Undef:
+			return UndefValue(v.T), nil
+		case op == token.NOT:
+			return MakeBool(!v.Bool()), nil
+		case op == token.MINUS:
+			return MakeInt(-v.I), nil
+		}
+		return MakeInt(v.I), nil
+	}
+}
+
+func (c *compiler) setLit(x *ast.SetLit) exprFn {
+	pos, t := x.Pos(), c.info.Types[x]
 	if t == nil || t.Kind != types.Set {
-		return Value{}, rte(x.Pos(), "unresolved set literal")
+		return failExpr(pos, "unresolved set literal")
 	}
 	// Canonical representation: elements must be non-negative ordinals below
 	// the set-universe bound.
 	const setLimit = 4096
-	v := Value{T: t}
-	for _, se := range x.Elems {
-		loV, err := e.eval(se.Lo)
-		if err != nil {
-			return Value{}, err
-		}
-		hiV := loV
+	type elem struct{ lo, hi exprFn }
+	elems := make([]elem, len(x.Elems))
+	for i, se := range x.Elems {
+		elems[i].lo = c.expr(se.Lo)
 		if se.Hi != nil {
-			hiV, err = e.eval(se.Hi)
+			elems[i].hi = c.expr(se.Hi)
+		}
+	}
+	return func(e *Exec) (Value, error) {
+		v := Value{T: t}
+		for _, se := range elems {
+			lo, err := se.lo(e)
 			if err != nil {
 				return Value{}, err
 			}
+			hi := lo
+			if se.hi != nil {
+				if hi, err = se.hi(e); err != nil {
+					return Value{}, err
+				}
+			}
+			if lo.Undef || hi.Undef {
+				return UndefValue(t), nil
+			}
+			if lo.I < 0 || hi.I >= setLimit {
+				return Value{}, rte(pos, "set element out of range 0..%d", setLimit-1)
+			}
+			for i := lo.I; i <= hi.I; i++ {
+				v.setAdd(i, setLimit)
+			}
 		}
-		if loV.Undef || hiV.Undef {
-			return UndefValue(t), nil
-		}
-		if loV.I < 0 || hiV.I >= setLimit {
-			return Value{}, rte(x.Pos(), "set element out of range 0..%d", setLimit-1)
-		}
-		for i := loV.I; i <= hiV.I; i++ {
-			v.setAdd(i, setLimit)
-		}
+		return v, nil
 	}
-	return v, nil
 }
 
-func (e *Exec) evalBinary(x *ast.BinaryExpr) (Value, error) {
-	// and/or use Kleene logic so that `defined-false and undefined` is a
-	// defined false; evaluate left first.
-	if x.Op == token.AND || x.Op == token.OR {
-		a, err := e.eval(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		if !a.Undef {
-			if x.Op == token.AND && !a.Bool() {
-				return MakeBool(false), nil
+func (c *compiler) binary(x *ast.BinaryExpr) exprFn {
+	a, b, op, pos := c.expr(x.X), c.expr(x.Y), x.Op, x.Pos()
+	if op == token.AND || op == token.OR {
+		// Kleene logic, left operand first: `defined-false and undefined`
+		// is a defined false.
+		and := op == token.AND
+		return func(e *Exec) (Value, error) {
+			av, err := a(e)
+			if err != nil {
+				return Value{}, err
 			}
-			if x.Op == token.OR && a.Bool() {
-				return MakeBool(true), nil
+			if !av.Undef && av.Bool() != and {
+				return MakeBool(!and), nil
 			}
-		}
-		b, err := e.eval(x.Y)
-		if err != nil {
-			return Value{}, err
-		}
-		if !b.Undef {
-			if x.Op == token.AND && !b.Bool() {
-				return MakeBool(false), nil
+			bv, err := b(e)
+			if err != nil {
+				return Value{}, err
 			}
-			if x.Op == token.OR && b.Bool() {
-				return MakeBool(true), nil
+			if !bv.Undef && bv.Bool() != and {
+				return MakeBool(!and), nil
 			}
+			if av.Undef || bv.Undef {
+				return UndefValue(types.Bool), nil
+			}
+			return MakeBool(and), nil
 		}
-		if a.Undef || b.Undef {
-			return UndefValue(types.Bool), nil
-		}
-		if x.Op == token.AND {
-			return MakeBool(a.Bool() && b.Bool()), nil
-		}
-		return MakeBool(a.Bool() || b.Bool()), nil
 	}
+	resT := c.info.Types[x]
+	if resT == nil {
+		resT = types.Bool
+	}
+	sets := false
+	if xt := c.info.Types[x.X]; xt != nil && xt.Root().Kind == types.Set {
+		sets = op == token.PLUS || op == token.MINUS || op == token.STAR
+	}
+	return func(e *Exec) (Value, error) {
+		av, err := a(e)
+		if err != nil {
+			return Value{}, err
+		}
+		bv, err := b(e)
+		if err != nil {
+			return Value{}, err
+		}
+		if av.Undef || bv.Undef {
+			return UndefValue(resT), nil
+		}
+		if sets {
+			return setOp(op, &av, &bv), nil
+		}
+		return binop(op, &av, &bv, pos)
+	}
+}
 
-	a, err := e.eval(x.X)
-	if err != nil {
-		return Value{}, err
-	}
-	b, err := e.eval(x.Y)
-	if err != nil {
-		return Value{}, err
-	}
-	resT := e.Prog.Info.Types[ast.Expr(x)]
-	if a.Undef || b.Undef {
-		if resT == nil {
-			resT = types.Bool
-		}
-		return UndefValue(resT), nil
-	}
-	switch x.Op {
-	case token.PLUS, token.MINUS, token.STAR:
-		if a.T.Root().Kind == types.Set {
-			return e.setOp(x.Op, a, b)
-		}
-		switch x.Op {
-		case token.PLUS:
-			return MakeInt(a.I + b.I), nil
-		case token.MINUS:
-			return MakeInt(a.I - b.I), nil
-		default:
-			return MakeInt(a.I * b.I), nil
-		}
-	case token.DIV:
+// binop applies a non-set binary operator to two defined operands.
+func binop(op token.Kind, a, b *Value, pos token.Pos) (Value, error) {
+	switch op {
+	case token.PLUS:
+		return MakeInt(a.I + b.I), nil
+	case token.MINUS:
+		return MakeInt(a.I - b.I), nil
+	case token.STAR:
+		return MakeInt(a.I * b.I), nil
+	case token.DIV, token.MOD:
 		if b.I == 0 {
-			return Value{}, rte(x.Pos(), "division by zero")
+			return Value{}, rte(pos, "division by zero")
 		}
-		return MakeInt(a.I / b.I), nil
-	case token.MOD:
-		if b.I == 0 {
-			return Value{}, rte(x.Pos(), "division by zero")
+		if op == token.DIV {
+			return MakeInt(a.I / b.I), nil
 		}
 		m := a.I % b.I
 		if m < 0 {
@@ -972,9 +1212,9 @@ func (e *Exec) evalBinary(x *ast.BinaryExpr) (Value, error) {
 		}
 		return MakeInt(m), nil
 	case token.EQ:
-		return MakeBool(Equal(a, b)), nil
+		return MakeBool(Equal(*a, *b)), nil
 	case token.NEQ:
-		return MakeBool(!Equal(a, b)), nil
+		return MakeBool(!Equal(*a, *b)), nil
 	case token.LT:
 		return MakeBool(a.I < b.I), nil
 	case token.LEQ:
@@ -986,7 +1226,7 @@ func (e *Exec) evalBinary(x *ast.BinaryExpr) (Value, error) {
 	case token.IN:
 		return MakeBool(b.setHas(a.I)), nil
 	default:
-		return Value{}, rte(x.Pos(), "unsupported operator %s", x.Op)
+		return Value{}, rte(pos, "unsupported operator %s", op)
 	}
 }
 
@@ -997,13 +1237,10 @@ func abs64(x int64) int64 {
 	return x
 }
 
-func (e *Exec) setOp(op token.Kind, a, b Value) (Value, error) {
-	n := len(a.Words)
-	if len(b.Words) > n {
-		n = len(b.Words)
-	}
+func setOp(op token.Kind, a, b *Value) Value {
+	n := max(len(a.Words), len(b.Words))
 	out := Value{T: a.T, Words: make([]uint64, n)}
-	word := func(v Value, i int) uint64 {
+	word := func(v *Value, i int) uint64 {
 		if i < len(v.Words) {
 			return v.Words[i]
 		}
@@ -1019,95 +1256,118 @@ func (e *Exec) setOp(op token.Kind, a, b Value) (Value, error) {
 			out.Words[i] = word(a, i) & word(b, i)
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (e *Exec) evalBuiltin(x *ast.CallExpr, b sema.Builtin) (Value, error) {
-	v, err := e.eval(x.Args[0])
-	if err != nil {
-		return Value{}, err
+func (c *compiler) builtin(x *ast.CallExpr, b sema.Builtin) exprFn {
+	pos, arg, t := x.Pos(), c.expr(x.Args[0]), c.info.Types[x]
+	if t == nil {
+		t = types.Int
 	}
-	if v.Undef {
-		t := e.Prog.Info.Types[ast.Expr(x)]
-		if t == nil {
-			t = types.Int
+	return func(e *Exec) (Value, error) {
+		v, err := arg(e)
+		if err != nil {
+			return Value{}, err
 		}
-		return UndefValue(t), nil
-	}
-	switch b {
-	case sema.BuiltinOrd:
-		return MakeInt(v.I), nil
-	case sema.BuiltinChr:
-		if v.I < 0 || v.I > 255 {
-			return Value{}, rte(x.Pos(), "chr argument %d out of range", v.I)
+		if v.Undef {
+			return UndefValue(t), nil
 		}
-		return MakeOrdinal(types.Chr, v.I), nil
-	case sema.BuiltinSucc, sema.BuiltinPred:
-		d := int64(1)
-		if b == sema.BuiltinPred {
-			d = -1
+		switch b {
+		case sema.BuiltinOrd:
+			return MakeInt(v.I), nil
+		case sema.BuiltinChr:
+			if v.I < 0 || v.I > 255 {
+				return Value{}, rte(pos, "chr argument %d out of range", v.I)
+			}
+			return MakeOrdinal(types.Chr, v.I), nil
+		case sema.BuiltinSucc, sema.BuiltinPred:
+			n := v.I + 1
+			if b == sema.BuiltinPred {
+				n = v.I - 1
+			}
+			if lo, hi := v.T.OrdinalRange(); n < lo || n > hi {
+				return Value{}, rte(pos, "succ/pred result %d out of range %d..%d", n, lo, hi)
+			}
+			return MakeOrdinal(v.T, n), nil
+		case sema.BuiltinAbs:
+			return MakeInt(abs64(v.I)), nil
+		case sema.BuiltinOdd:
+			return MakeBool(v.I%2 != 0), nil
+		default:
+			return Value{}, rte(pos, "unsupported builtin")
 		}
-		lo, hi := v.T.OrdinalRange()
-		n := v.I + d
-		if n < lo || n > hi {
-			return Value{}, rte(x.Pos(), "succ/pred result %d out of range %d..%d", n, lo, hi)
-		}
-		return MakeOrdinal(v.T, n), nil
-	case sema.BuiltinAbs:
-		return MakeInt(abs64(v.I)), nil
-	case sema.BuiltinOdd:
-		return MakeBool(v.I%2 != 0), nil
-	default:
-		return Value{}, rte(x.Pos(), "unsupported builtin")
 	}
 }
 
-// call invokes a user function/procedure.
-func (e *Exec) call(fs *sema.FuncSym, args []ast.Expr, pos token.Pos) (Value, error) {
-	if len(e.frames) >= e.Limits.MaxCallDepth {
-		return Value{}, rte(pos, "call depth limit exceeded in %s", fs.Name)
+// call compiles an invocation of a user function or procedure. The callee's
+// frame is reserved before the arguments are evaluated in the caller's
+// frame, so argument calls take frames above it and var-parameters bind to
+// locations that stay put until the call returns.
+func (c *compiler) call(fs *sema.FuncSym, args []ast.Expr, pos token.Pos) exprFn {
+	if len(args) < len(fs.Params) {
+		return failExpr(pos, "%s: missing argument %d", fs.Name, len(args)+1)
 	}
-	fr := &frame{
-		fn:    fs,
-		slots: make([]Value, fs.NumSlots),
-		refs:  make([]*Value, fs.NumSlots),
+	type param struct {
+		slot int
+		ref  lvalFn
+		val  exprFn
+		t    *types.Type
+		pos  token.Pos
 	}
+	params := make([]param, len(fs.Params))
 	for i, p := range fs.Params {
-		if i >= len(args) {
-			return Value{}, rte(pos, "%s: missing argument %d", fs.Name, i+1)
-		}
+		params[i] = param{slot: p.Slot, t: p.Type, pos: args[i].Pos()}
 		if p.Kind == sema.RefParam {
-			lv, err := e.lvalue(args[i])
+			params[i].ref = c.lvalue(args[i])
+		} else {
+			params[i].val = c.expr(args[i])
+		}
+	}
+	fc, name, locals, result, rslot, nslots := c.funcs[fs.Index], fs.Name, fs.Locals, fs.Result, fs.ResultSlot, fs.NumSlots
+	return func(e *Exec) (Value, error) {
+		if e.calls >= e.Limits.MaxCallDepth {
+			return Value{}, rte(pos, "call depth limit exceeded in %s", name)
+		}
+		fr := e.reserve(nslots)
+		for _, p := range params {
+			if p.ref != nil {
+				lv, err := p.ref(e)
+				if err != nil {
+					e.nres--
+					return Value{}, err
+				}
+				fr.refs[p.slot] = lv
+				continue
+			}
+			v, err := p.val(e)
+			if err == nil {
+				v, err = coerce(p.t, v, p.pos)
+			}
 			if err != nil {
+				e.nres--
 				return Value{}, err
 			}
-			fr.refs[p.Slot] = lv
-			continue
+			fr.slots[p.slot] = v.Copy()
 		}
-		v, err := e.eval(args[i])
+		for _, l := range locals {
+			fr.slots[l.Slot] = Zero(l.Type, e.Partial)
+		}
+		if result != nil {
+			fr.slots[rslot] = Zero(result, true)
+		}
+		caller := e.cur
+		e.cur = fr
+		e.calls++
+		err := fc.body(e)
+		e.cur = caller
+		e.calls--
+		e.nres--
 		if err != nil {
 			return Value{}, err
 		}
-		cv, err := e.coerce(p.Type, v, args[i].Pos())
-		if err != nil {
-			return Value{}, err
+		if result != nil {
+			return fr.slots[rslot], nil
 		}
-		fr.slots[p.Slot] = cv.Copy()
+		return Value{T: types.Int}, nil
 	}
-	for _, l := range fs.Locals {
-		fr.slots[l.Slot] = Zero(l.Type, e.Partial)
-	}
-	if fs.Result != nil {
-		fr.slots[fs.ResultSlot] = Zero(fs.Result, true)
-	}
-	e.frames = append(e.frames, fr)
-	err := e.execBlock(fs.Decl.Body)
-	e.frames = e.frames[:len(e.frames)-1]
-	if err != nil {
-		return Value{}, err
-	}
-	if fs.Result != nil {
-		return fr.slots[fs.ResultSlot], nil
-	}
-	return Value{T: types.Int}, nil
 }

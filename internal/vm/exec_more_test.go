@@ -22,7 +22,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ initialize to S0 begin r := 0 end;
 trans
   from S0 to S0 when P.m name boom: begin r := down(0) end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	e.Limits.MaxCallDepth = 100
 	st, _, err := e.RunInit()
 	if err != nil {
@@ -258,7 +258,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ initialize to S0 begin x := 5 end;
 trans
   from S0 to S0 when P.m name t: begin y := v + x * 2 end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	e.Partial = true
 	st, _, err := e.RunInit()
 	if err != nil {
@@ -337,7 +337,7 @@ initialize to S0 begin x := 0 end;
 trans
   from S0 to S1 when P.m name t: begin x := v end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)

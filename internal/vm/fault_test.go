@@ -15,7 +15,7 @@ state S0;
 initialize to S0 begin g := 0 end;
 trans from S0 to S0 when P.m name T1: begin g := v end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatalf("init: %v", err)
@@ -56,7 +56,7 @@ state S0;
 initialize to S0 begin g := 0 end;
 trans from S0 to S0 when P.m name T1: begin g := v end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatalf("init: %v", err)
@@ -83,7 +83,7 @@ trans
       new(q);
   end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	e.Limits.MaxSteps = 100_000_000 // the heap budget must fire first
 	e.Limits.MaxHeapCells = 1000
 	st, _, err := e.RunInit()

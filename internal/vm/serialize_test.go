@@ -77,7 +77,7 @@ func TestTypeTableDeterministic(t *testing.T) {
 
 func TestEncodeDecodeStateRoundTrip(t *testing.T) {
 	prog := compileSpec(t, richSpec)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatalf("init: %v", err)
@@ -108,7 +108,7 @@ func TestEncodeDecodeStateRoundTrip(t *testing.T) {
 
 func TestEncodeDecodeUndefState(t *testing.T) {
 	prog := compileSpec(t, richSpec)
-	e := New(prog)
+	e := New(Compile(prog))
 	e.Partial = true
 	st, _, err := e.RunInit()
 	if err != nil {
@@ -130,7 +130,7 @@ func TestEncodeDecodeUndefState(t *testing.T) {
 
 func TestDecodeStateRejectsCorruption(t *testing.T) {
 	prog := compileSpec(t, richSpec)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatalf("init: %v", err)
@@ -178,7 +178,7 @@ func FuzzDecodeState(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		f.Fatal(err)

@@ -1,9 +1,10 @@
-// Package vm implements the run-time value model and a tree-walking executor
-// for checked Estelle specifications. It plays the role of Dingo's generated
-// C++ plus run-time library in the original Tango tool chain: module state
-// (FSM state, global variables, dynamic memory) with deep snapshot/restore,
-// and atomic execution of transition blocks that collects output
-// interactions.
+// Package vm implements the run-time value model of checked Estelle
+// specifications, compiles their guards, transition blocks and functions
+// into Go closures (Compile), and executes them (Exec). It plays the role of
+// Dingo's generated C++ plus run-time library in the original Tango tool
+// chain: module state (FSM state, global variables, dynamic memory) with
+// deep snapshot/restore, and atomic execution of transition blocks that
+// collects output interactions.
 //
 // Every value carries an "undefined" attribute, following §5.1 of the paper:
 // in partial-trace mode, reading an undefined value propagates undefinedness

@@ -39,7 +39,7 @@ end.`
 // integer parameter, returning the state, outputs and error.
 func runInitAndFire(t *testing.T, prog *sema.Program, param int64) (*State, []Output, error) {
 	t.Helper()
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatalf("init: %v", err)
@@ -81,7 +81,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ trans
     n := n + 1;
   end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ trans
     head^.v := v;
   end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ trans
     while true do x := x + 1;
   end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	e.Limits.MaxSteps = 10000
 	st, _, err := e.RunInit()
 	if err != nil {
@@ -297,7 +297,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ initialize to S0 begin
 end;
 trans from S0 to S0 when P.m name t: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ initialize to S0 begin x := 5 end;
 trans
   from S0 to S0 when P.m provided v > x name gt: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +405,7 @@ initialize to S0 begin x := 5 end;
 trans
   from S0 to S0 when P.m provided v > x name gt: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	st, _, err := e.RunInit()
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ trans
     if v > 3 then x := 1 else x := 2;
   end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	e.Partial = true
 	st, _, err := e.RunInit()
 	if err != nil {
@@ -469,7 +469,7 @@ trans
     while v > x do x := x + 0;
   end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	e.Partial = true
 	e.Limits.MaxForks = 8
 	st, _, err := e.RunInit()
@@ -491,7 +491,7 @@ trans
   from S0 to S0 when P.m provided a and (v > 0) name t1: begin end;
   from S0 to S0 when P.m provided b or (v > 0) name t2: begin end;
 `)
-	e := New(prog)
+	e := New(Compile(prog))
 	e.Partial = true
 	st, _, err := e.RunInit()
 	if err != nil {
