@@ -443,12 +443,10 @@ func BenchmarkTracerOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkDeepBacktrackAllocs is the headline benchmark of the search-core
-// overhaul: the deep-backtracking invalid TP0 trace analyzed without order
-// checking, under the pre-overhaul eager snapshots, the copy-on-write heap,
-// and COW plus the dead-state memo. allocs/op must drop at least 2x from
-// eager to cow+memo (CI tracks the trend through `tango bench`, which runs
-// the same matrix).
+// BenchmarkDeepBacktrackAllocs is the headline benchmark of the search core:
+// the deep-backtracking invalid TP0 trace analyzed without order checking,
+// under the copy-on-write heap and COW plus the dead-state memo (CI tracks
+// the trend through `tango bench`, which runs the same matrix).
 func BenchmarkDeepBacktrackAllocs(b *testing.B) {
 	spec := compileB(b, "tp0.estelle", specs.TP0)
 	tr, err := experiments.Fig4InvalidTrace(spec, 3)
@@ -459,7 +457,6 @@ func BenchmarkDeepBacktrackAllocs(b *testing.B) {
 		name string
 		opts analysis.Options
 	}{
-		{"eager", analysis.Options{Order: analysis.OrderNone, EagerSnapshots: true}},
 		{"cow", analysis.Options{Order: analysis.OrderNone}},
 		{"cow+memo", analysis.Options{Order: analysis.OrderNone, Memo: true}},
 	} {

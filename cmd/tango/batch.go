@@ -187,13 +187,13 @@ func runBatch(args []string, w, ew io.Writer) error {
 		NumItems:     len(items),
 	}
 	var (
-		journal *checkpoint.Journal
+		journal *checkpoint.BatchLog
 		done    map[int]obs.BatchItem
 	)
 	resumedRun := false
 	switch {
 	case *resumeDir != "":
-		journal, done, err = openResume(filepath.Join(*resumeDir, checkpoint.JournalFile), meta, len(items), ew)
+		journal, done, err = openResume(filepath.Join(*resumeDir, checkpoint.JournalFile), meta, ew)
 		if err != nil {
 			return err
 		}
@@ -202,11 +202,11 @@ func runBatch(args []string, w, ew io.Writer) error {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return err
 		}
-		journal, err = checkpoint.CreateJournal(filepath.Join(*ckptDir, checkpoint.JournalFile))
+		journal, err = checkpoint.CreateBatchLog(filepath.Join(*ckptDir, checkpoint.JournalFile))
 		if err != nil {
 			return err
 		}
-		if err := journal.Append(checkpoint.KindBatchMeta, meta); err != nil {
+		if err := journal.Admit(meta); err != nil {
 			journal.Close()
 			return err
 		}
@@ -227,6 +227,10 @@ func runBatch(args []string, w, ew io.Writer) error {
 	})
 	if err != nil {
 		return err
+	}
+	if sres.JournalFailures > 0 {
+		fmt.Fprintf(ew, "tango: warning: checkpoint journal failed to record %d rows (first error: %v); -resume will analyze them again\n",
+			sres.JournalFailures, sres.JournalErr)
 	}
 	printSupervised(w, sres)
 	if *reportPath != "" {
@@ -253,48 +257,28 @@ func corpusDigest(items []batch.Item) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// openResume replays a batch journal, validates that it belongs to this
-// workload, and reopens it for appending (repairing a torn tail left by a
-// crash). It returns the journal and the verbatim rows of finished items.
-func openResume(path string, meta checkpoint.BatchMeta, n int, ew io.Writer) (*checkpoint.Journal, map[int]obs.BatchItem, error) {
-	j, recs, err := checkpoint.OpenJournalAppend(path)
+// openResume replays a batch journal, checks that it belongs to this run,
+// and compacts it into a log open for appending (which also drops a torn
+// tail left by a crash). It returns the log and the verbatim rows of
+// finished items.
+func openResume(path string, meta checkpoint.BatchMeta, ew io.Writer) (*checkpoint.BatchLog, map[int]obs.BatchItem, error) {
+	plan, err := checkpoint.ReplayBatchLog[checkpoint.BatchMeta](path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("resume: %w", err)
 	}
-	if len(recs) == 0 || recs[0].Kind != checkpoint.KindBatchMeta {
-		j.Close()
-		return nil, nil, fmt.Errorf("resume: %s is not a batch journal", path)
+	if len(plan.Batches) == 0 {
+		return nil, nil, fmt.Errorf("resume: %s is not a batch journal (no readable meta record)", path)
 	}
-	var m checkpoint.BatchMeta
-	if err := recs[0].Decode(&m); err != nil {
-		j.Close()
-		return nil, nil, fmt.Errorf("resume: %w", err)
-	}
-	if m != meta {
-		j.Close()
+	b := plan.Batches[0]
+	if b.Admission != meta {
 		return nil, nil, fmt.Errorf("resume: journal belongs to a different run (specification, corpus or order mode changed)")
 	}
-	done := make(map[int]obs.BatchItem)
-	for _, rec := range recs[1:] {
-		if rec.Kind != checkpoint.KindBatchItem {
-			continue
-		}
-		var e checkpoint.BatchEntry
-		if err := rec.Decode(&e); err != nil {
-			j.Close()
-			return nil, nil, fmt.Errorf("resume: %w", err)
-		}
-		row, err := e.Row()
-		if err != nil {
-			j.Close()
-			return nil, nil, fmt.Errorf("resume: %w", err)
-		}
-		if e.Index >= 0 && e.Index < n {
-			done[e.Index] = row
-		}
+	journal, err := checkpoint.CompactBatchLog(path, plan.Batches)
+	if err != nil {
+		return nil, nil, fmt.Errorf("resume: %w", err)
 	}
-	fmt.Fprintf(ew, "tango: resume: restored %d finished rows from %s\n", len(done), path)
-	return j, done, nil
+	fmt.Fprintf(ew, "tango: resume: restored %d finished rows from %s\n", len(b.Rows), path)
+	return journal, b.Rows, nil
 }
 
 // printBatch renders the per-item lines (corpus order) and the summary.

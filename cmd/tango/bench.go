@@ -17,19 +17,17 @@ import (
 	"repro/specs"
 )
 
-// benchConfigs are the analyzer configurations `tango bench` compares. The
-// baseline re-enables the eager deep-copy snapshots the search core used
-// before the copy-on-write heap; "cow" and "cow+memo" measure the overhaul's
-// layers separately so the trajectory shows where each improvement comes
-// from; the par-jN axis scales the work-stealing parallel search over the
-// same COW core (par-j1 is the sequential anchor for that axis — speedup on
-// a row is par-j1 ns/op over par-jN ns/op, and tracks available cores, not
-// N). Every configuration must reproduce the same verdict on every workload.
+// benchConfigs are the analyzer configurations `tango bench` compares. "cow"
+// is the copy-on-write search core and the reference verdict; "cow+memo"
+// adds the dead-state memo; the par-jN axis scales the work-stealing
+// parallel search over the same core (par-j1 is the sequential anchor for
+// that axis — speedup on a row is par-j1 ns/op over par-jN ns/op, and tracks
+// available cores, not N). Every configuration must reproduce the same
+// verdict on every workload.
 var benchConfigs = []struct {
 	name string
 	opts analysis.Options
 }{
-	{"eager", analysis.Options{EagerSnapshots: true}},
 	{"cow", analysis.Options{}},
 	{"cow+memo", analysis.Options{Memo: true}},
 	{"par-j1", analysis.Options{Parallelism: 1}},
@@ -131,13 +129,13 @@ func runBench(args []string, w, ew io.Writer) error {
 				wl.name, cfg.name, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp,
 				row.StatesExplored, row.MemoHits, row.Verdict)
 		}
-		if v := verdicts["eager"]; v != wl.want {
+		if v := verdicts["cow"]; v != wl.want {
 			return fmt.Errorf("bench %s: verdict %s, want %s", wl.name, v, wl.want)
 		}
 		for _, cfg := range benchConfigs {
-			if verdicts[cfg.name] != verdicts["eager"] {
-				return fmt.Errorf("bench %s: config %s returned %s but eager returned %s — memoization soundness violated",
-					wl.name, cfg.name, verdicts[cfg.name], verdicts["eager"])
+			if verdicts[cfg.name] != verdicts["cow"] {
+				return fmt.Errorf("bench %s: config %s returned %s but cow returned %s — memoization soundness violated",
+					wl.name, cfg.name, verdicts[cfg.name], verdicts["cow"])
 			}
 		}
 	}

@@ -162,7 +162,7 @@ func TestServeKillHandoffByteIdentical(t *testing.T) {
 		recs, _, err := checkpoint.ReplayJournal(jpath)
 		if err == nil && len(recs) >= 2 {
 			for _, rec := range recs {
-				sawDone = sawDone || rec.Kind == serve.KindWorkDone
+				sawDone = sawDone || rec.Kind == checkpoint.KindDone
 			}
 			if err := victim.Process.Signal(syscall.SIGKILL); err == nil {
 				killed = true

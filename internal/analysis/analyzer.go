@@ -897,16 +897,6 @@ func (a *Analyzer) complete(n *node) bool {
 	return true
 }
 
-// snapshot is the Save primitive: copy-on-write by default, eager deep copy
-// under Options.EagerSnapshots (the legacy strategy, kept for before/after
-// benchmarking).
-func (a *Analyzer) snapshot(st *vm.State) *vm.State {
-	if a.opts.EagerSnapshots {
-		return st.DeepSnapshot()
-	}
-	return st.Snapshot()
-}
-
 // maybeSave snapshots the node when it may be revisited: more than one
 // pending alternative, or PG status in dynamic mode (§3.1.1: "it is
 // necessary to save the PG-node"). This is the Save operation.
@@ -916,7 +906,7 @@ func (a *Analyzer) maybeSave(n *node) {
 	}
 	remaining := len(n.cands) - n.next + len(n.seeds)
 	if remaining > 1 || n.pg || (a.dynamic && !a.eofSeen) {
-		n.saved = a.snapshot(n.live)
+		n.saved = n.live.Snapshot()
 		a.stats.SA++
 		a.noteSave(n)
 	}
@@ -924,7 +914,7 @@ func (a *Analyzer) maybeSave(n *node) {
 
 func (a *Analyzer) savePG(n *node, pgSaved *[]*node) {
 	if n.saved == nil {
-		n.saved = a.snapshot(n.live)
+		n.saved = n.live.Snapshot()
 		a.stats.SA++
 		a.noteSave(n)
 	}
@@ -1373,18 +1363,18 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 		st = n.live
 		if n.saved == nil && n.next < len(n.cands) {
 			// More candidates will need this state later.
-			n.saved = a.snapshot(st)
+			n.saved = st.Snapshot()
 			a.stats.SA++
 			a.noteSave(n)
 		}
 	} else {
 		if n.saved == nil {
 			// Should not happen: nodes that can be revisited are saved.
-			n.saved = a.snapshot(n.live)
+			n.saved = n.live.Snapshot()
 			a.stats.SA++
 			a.noteSave(n)
 		}
-		st = a.snapshot(n.saved)
+		st = n.saved.Snapshot()
 		restored = true
 		a.stats.RE++
 		if a.tracer != nil {

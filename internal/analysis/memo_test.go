@@ -92,7 +92,6 @@ func TestMemoDifferentialDeepBacktrack(t *testing.T) {
 	}{
 		{"memo", Options{Memo: true}},
 		{"memo-paranoid", Options{Memo: true, CollisionCheck: true}},
-		{"memo-eager", Options{Memo: true, EagerSnapshots: true}},
 	} {
 		res, err := mustAnalyzer(t, spec, cfg.opts).AnalyzeTrace(tr)
 		if err != nil {

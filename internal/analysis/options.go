@@ -144,11 +144,6 @@ type Options struct {
 	// paranoia mode.
 	CollisionCheck bool
 
-	// EagerSnapshots restores the legacy Save strategy: every snapshot deep
-	// copies the whole state up front instead of sharing the heap
-	// copy-on-write. Kept for before/after benchmarking.
-	EagerSnapshots bool
-
 	// MaxDepth bounds the search-tree depth, protecting against
 	// non-progress cycles (default 4 * trace length + 64).
 	MaxDepth int

@@ -444,7 +444,7 @@ func (w *parWorker) process(n *node) {
 			st = n.saved
 			n.saved = nil
 		} else {
-			st = w.wa.snapshot(n.saved)
+			st = n.saved.Snapshot()
 			w.wa.stats.RE++
 			// Re-publish BEFORE executing: from here on the task belongs to
 			// whoever dequeues it, and this goroutine no longer touches

@@ -55,18 +55,6 @@ func VerdictClass(v analysis.Verdict) int {
 	}
 }
 
-// severity ranks exit-code classes for aggregation: a batch run's exit code
-// is its most severe per-item class. Operational errors outrank everything;
-// a malformed trace outranks an inconclusive one, which outranks invalid.
-var severity = map[int]int{ClassOK: 0, ClassInvalid: 1, ClassInconclusive: 2, ClassBadTrace: 3, ClassError: 4}
-
-func worse(a, b int) int {
-	if severity[b] > severity[a] {
-		return b
-	}
-	return a
-}
-
 // Expectation values a manifest can attach to an item.
 const (
 	ExpectValid   = "valid"
@@ -196,21 +184,13 @@ func (r *ItemResult) Verdict() analysis.Verdict {
 	return r.Res.Verdict
 }
 
-// Counts aggregates per-item outcomes.
-type Counts struct {
-	Valid, Invalid, Inconclusive, BadTrace, Errors, Skipped int
-	// Mismatches counts items whose manifest expectation was checkable and
-	// failed.
-	Mismatches int
-}
-
 // Result is the outcome of one batch run. Items is always complete and in
 // corpus order.
 type Result struct {
 	Items   []ItemResult
 	Workers int
 	Wall    time.Duration
-	Counts  Counts
+	Counts  obs.BatchCounts
 	// ExitCode is the aggregate exit code (see Aggregate).
 	ExitCode int
 	// Coverage is the corpus-wide coverage sum when Options.Analysis.Coverage
@@ -317,7 +297,10 @@ func Run(ctx context.Context, spec *efsm.Spec, items []Item, opts Options) (*Res
 	wg.Wait()
 
 	res := &Result{Items: e.results, Workers: workers, Wall: time.Since(start)}
-	res.Counts, res.ExitCode = Aggregate(res.Items)
+	res.Counts, res.ExitCode = Aggregate(len(res.Items), func(i int) (int, bool, *bool) {
+		r := &res.Items[i]
+		return r.Class, r.Skipped, r.Match
+	})
 	if opts.Analysis.Coverage {
 		res.Coverage = foldCoverage(spec, res.Items)
 	}
@@ -484,48 +467,63 @@ func (e *engine) beat(hb Heartbeat) {
 	e.mu.Unlock()
 }
 
+// severity ranks exit-code classes for aggregation: a batch's exit code is
+// its most severe effective class. Operational errors outrank everything; a
+// malformed trace outranks an inconclusive one, which outranks invalid.
+var severity = map[int]int{ClassOK: 0, ClassInvalid: 1, ClassInconclusive: 2, ClassBadTrace: 3, ClassError: 4}
+
 // Aggregate computes the outcome counts and the aggregate exit code of a
-// result set. The rules (documented in README "tango batch"):
+// batch of n rows, where row(i) returns row i's exit-code class, whether it
+// was drained without analysis, and its expectation check. It is the one
+// implementation of the rules (README "tango batch"), shared by batch.Run,
+// the supervisor and serve's /v1/batch:
 //
-//   - Each item maps to its exit-code class (0 valid, 2 invalid, 3
-//     inconclusive, 4 bad trace, 1 operational error).
-//   - When an item carries a manifest expectation and produced a checkable
-//     verdict, the expectation replaces the raw class: a match counts as 0
-//     (an expected-invalid trace that is invalid is a conformance pass), a
-//     mismatch counts as 2.
+//   - Each row counts under its exit-code class (0 valid, 2 invalid, 3
+//     inconclusive, 4 bad trace, 1 operational error), except drained rows,
+//     which count as skipped.
+//   - When a row carries a checked manifest expectation, the expectation
+//     replaces the raw class: a match counts as 0 (an expected-invalid trace
+//     that is invalid is a conformance pass), a mismatch as 2.
 //   - The aggregate exit code is the most severe effective class, ordered
 //     0 < 2 < 3 < 4 < 1.
-func Aggregate(items []ItemResult) (Counts, int) {
-	var c Counts
+func Aggregate(n int, row func(i int) (class int, skipped bool, match *bool)) (obs.BatchCounts, int) {
+	var c obs.BatchCounts
 	exit := ClassOK
-	for i := range items {
-		r := &items[i]
+	for i := 0; i < n; i++ {
+		class, skipped, match := row(i)
 		switch {
-		case r.Skipped:
+		case skipped:
 			c.Skipped++
-		case r.Class == ClassOK:
+		case class == ClassOK:
 			c.Valid++
-		case r.Class == ClassInvalid:
+		case class == ClassInvalid:
 			c.Invalid++
-		case r.Class == ClassInconclusive:
+		case class == ClassInconclusive:
 			c.Inconclusive++
-		case r.Class == ClassBadTrace:
+		case class == ClassBadTrace:
 			c.BadTrace++
-		case r.Class == ClassError:
+		case class == ClassError:
 			c.Errors++
 		}
-		eff := r.Class
-		if r.Match != nil {
-			if *r.Match {
-				eff = ClassOK
-			} else {
-				eff = ClassInvalid
+		if match != nil {
+			class = ClassOK
+			if !*match {
+				class = ClassInvalid
 				c.Mismatches++
 			}
 		}
-		exit = worse(exit, eff)
+		if severity[class] > severity[exit] {
+			exit = class
+		}
 	}
 	return c, exit
+}
+
+// AggregateRows is Aggregate over report rows.
+func AggregateRows(rows []obs.BatchItem) (obs.BatchCounts, int) {
+	return Aggregate(len(rows), func(i int) (int, bool, *bool) {
+		return rows[i].ExitClass, rows[i].Skipped, rows[i].Match
+	})
 }
 
 // String renders the heartbeat as the CLI's -progress line.

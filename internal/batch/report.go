@@ -21,16 +21,8 @@ func BuildReport(specPath, mode string, spec *efsm.Spec, opts Options, res *Resu
 		Seed:            opts.Seed,
 		ExitCode:        res.ExitCode,
 		WallUS:          res.Wall.Microseconds(),
-		Counts: obs.BatchCounts{
-			Valid:        res.Counts.Valid,
-			Invalid:      res.Counts.Invalid,
-			Inconclusive: res.Counts.Inconclusive,
-			BadTrace:     res.Counts.BadTrace,
-			Errors:       res.Counts.Errors,
-			Skipped:      res.Counts.Skipped,
-			Mismatches:   res.Counts.Mismatches,
-		},
-		Items: make([]obs.BatchItem, len(res.Items)),
+		Counts:          res.Counts,
+		Items:           make([]obs.BatchItem, len(res.Items)),
 	}
 	for i := range res.Items {
 		rep.Items[i] = ReportItem(&res.Items[i])

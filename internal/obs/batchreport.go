@@ -123,13 +123,20 @@ func (r *BatchReport) Normalize() {
 	r.Counts.Resumed = 0
 	r.Counts.Requeued = 0
 	for i := range r.Items {
-		it := &r.Items[i]
-		it.Worker = 0
-		it.WallUS = 0
-		it.Search.TransPerSec = 0
-		it.Attempts = 0
-		it.Resumed = false
+		r.Items[i].Normalize()
 	}
+}
+
+// Normalize clears the row's scheduling- and timing-dependent fields: which
+// worker ran it, how long it took, how often it was dispatched and whether a
+// resume restored it. Every normalized report, tango.batch/1 and the stored
+// /v1/batch one alike, clears its rows through this method.
+func (it *BatchItem) Normalize() {
+	it.Worker = 0
+	it.WallUS = 0
+	it.Search.TransPerSec = 0
+	it.Attempts = 0
+	it.Resumed = false
 }
 
 // WriteFile marshals the report (indented, trailing newline) to path.

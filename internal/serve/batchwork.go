@@ -9,6 +9,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/batch"
 	"repro/internal/buildinfo"
+	"repro/internal/checkpoint"
 	"repro/internal/efsm"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -90,52 +91,6 @@ func (s *Server) runBatchRows(ctx context.Context, entry *specEntry, spec *efsm.
 	return items, nil
 }
 
-// aggregateBatch fills Counts and ExitClass from Items with the batch
-// engine's severity rules.
-func aggregateBatch(resp *batchResponse) {
-	sev := map[int]int{batch.ClassOK: 0, batch.ClassInvalid: 1,
-		batch.ClassInconclusive: 2, batch.ClassBadTrace: 3, batch.ClassError: 4}
-	resp.Counts = obs.BatchCounts{}
-	resp.ExitClass = batch.ClassOK
-	for i := range resp.Items {
-		row := &resp.Items[i]
-		switch row.ExitClass {
-		case batch.ClassOK:
-			resp.Counts.Valid++
-		case batch.ClassInvalid:
-			resp.Counts.Invalid++
-		case batch.ClassInconclusive:
-			resp.Counts.Inconclusive++
-		case batch.ClassBadTrace:
-			resp.Counts.BadTrace++
-		default:
-			resp.Counts.Errors++
-		}
-		if row.Match != nil && !*row.Match {
-			resp.Counts.Mismatches++
-		}
-		if sev[row.ExitClass] > sev[resp.ExitClass] {
-			resp.ExitClass = row.ExitClass
-		}
-	}
-}
-
-// normalizeBatchResponse clears every timing- and scheduling-dependent field
-// (the serve-level twin of obs.BatchReport.Normalize), so the persisted
-// report of a batch is byte-identical whether one daemon ran it start to
-// finish or a successor replayed the tail after a SIGKILL.
-func normalizeBatchResponse(resp *batchResponse) {
-	resp.ElapsedUS = 0
-	for i := range resp.Items {
-		it := &resp.Items[i]
-		it.Worker = 0
-		it.WallUS = 0
-		it.Search.TransPerSec = 0
-		it.Attempts = 0
-		it.Resumed = false
-	}
-}
-
 // persistBatch writes the normalized report file and marks the batch done in
 // the journal. Store faults degrade durability, never availability: the live
 // client still gets its response, the error goes to the log and a counter.
@@ -143,9 +98,15 @@ func (s *Server) persistBatch(id string, resp batchResponse) {
 	if s.store == nil || id == "" {
 		return
 	}
+	// The stored report clears every timing- and scheduling-dependent field,
+	// so it is byte-identical whether one daemon ran the batch start to
+	// finish or a successor replayed the tail after a SIGKILL.
 	norm := resp
+	norm.ElapsedUS = 0
 	norm.Items = append([]obs.BatchItem(nil), resp.Items...)
-	normalizeBatchResponse(&norm)
+	for i := range norm.Items {
+		norm.Items[i].Normalize()
+	}
 	data, err := json.MarshalIndent(norm, "", "  ")
 	if err == nil {
 		data = append(data, '\n')
@@ -155,7 +116,7 @@ func (s *Server) persistBatch(id string, resp batchResponse) {
 		s.storeError("report "+id, err)
 		return
 	}
-	if err := s.wj.append(KindWorkDone, workDoneRec{ID: id}); err != nil {
+	if err := s.log.Load().Done(id); err != nil {
 		s.storeError("journal done "+id, err)
 	}
 }
@@ -194,12 +155,13 @@ func (s *Server) resolveRecoveredSpec(digest string) (*specEntry, *efsm.Spec, er
 // An unrecoverable batch (spec gone from the store, malformed record) is
 // abandoned with a done mark: crash-only boot must converge, not retry a
 // poisoned batch on every restart forever.
-func (s *Server) recoverBatch(pb *pendingBatch) {
-	rec := pb.rec
+func (s *Server) recoverBatch(b *checkpoint.LoggedBatch[workBatchRec]) {
+	rec := b.Admission
+	log := s.log.Load()
 	abandon := func(why string, err error) {
 		s.reg.Counter("serve.recover_abandoned").Inc()
 		fmt.Fprintf(s.opts.Log, "serve: recover: batch %s abandoned (%s): %v\n", rec.ID, why, err)
-		if aerr := s.wj.append(KindWorkDone, workDoneRec{ID: rec.ID}); aerr != nil {
+		if aerr := log.Done(rec.ID); aerr != nil {
 			s.storeError("journal done "+rec.ID, aerr)
 		}
 	}
@@ -220,17 +182,7 @@ func (s *Server) recoverBatch(pb *pendingBatch) {
 	aopts := analysisOptions(order, rec.DisabledIPs, rec.UnobservedIPs,
 		false, rec.Hash, rec.Memo, lim, s.opts.Limits.MaxHeapCells)
 
-	onRow := func(i int, row obs.BatchItem, stopped bool) {
-		if err := s.wj.appendRow(rec.ID, i, row); err != nil {
-			s.storeError("journal row "+rec.ID, err)
-		}
-		if stopped {
-			if err := s.wj.append(KindWorkStop, workStopRec{ID: rec.ID, Index: i}); err != nil {
-				s.storeError("journal stop "+rec.ID, err)
-			}
-		}
-	}
-	items, err := s.runBatchRows(ctx, entry, spec, aopts, rec.Traces, pb.rows, pb.stopAt, onRow)
+	items, err := s.runBatchRows(ctx, entry, spec, aopts, rec.Traces, b.Rows, b.StopAt, s.journalRow(log, rec.ID))
 	if err != nil {
 		abandon("session", err)
 		return
@@ -241,9 +193,25 @@ func (s *Server) recoverBatch(pb *pendingBatch) {
 		Degraded: rec.Degraded, Budget: rec.Budget, DeadlineMS: rec.DeadlineMS,
 		Items: items,
 	}
-	aggregateBatch(&resp)
+	resp.Counts, resp.ExitClass = batch.AggregateRows(items)
 	s.persistBatch(rec.ID, resp)
 	s.reg.Counter("serve.recovered_batches").Inc()
 	fmt.Fprintf(s.opts.Log, "serve: recover: batch %s finished (%d rows, %d replayed)\n",
-		rec.ID, len(items), len(pb.rows))
+		rec.ID, len(items), len(b.Rows))
+}
+
+// journalRow returns the runBatchRows hook that journals each newly computed
+// row of batch id, plus a stop record when the panic breaker stopped the
+// batch there, so a successor recovering the batch reproduces the early stop.
+func (s *Server) journalRow(log *checkpoint.BatchLog, id string) func(int, obs.BatchItem, bool) {
+	return func(i int, row obs.BatchItem, stopped bool) {
+		if err := log.Row(id, i, row); err != nil {
+			s.storeError("journal row "+id, err)
+		}
+		if stopped {
+			if err := log.Stop(id, i); err != nil {
+				s.storeError("journal stop "+id, err)
+			}
+		}
+	}
 }

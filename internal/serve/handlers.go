@@ -614,21 +614,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Budget: lim.Budget, DeadlineMS: lim.Deadline.Milliseconds(), Degraded: lim.Degraded,
 			Traces: req.Traces,
 		}
-		if jerr := s.wj.append(KindWorkBatch, rec); jerr != nil {
+		log := s.log.Load()
+		if jerr := log.Admit(rec); jerr != nil {
 			s.storeError("journal batch "+batchID, jerr)
 		} else {
-			onRow = func(i int, row obs.BatchItem, stopped bool) {
-				if jerr := s.wj.appendRow(batchID, i, row); jerr != nil {
-					s.storeError("journal row "+batchID, jerr)
-				}
-				if stopped {
-					// Journal the breaker stop so a successor recovering this
-					// batch reproduces the early stop (see workStopRec).
-					if jerr := s.wj.append(KindWorkStop, workStopRec{ID: batchID, Index: i}); jerr != nil {
-						s.storeError("journal stop "+batchID, jerr)
-					}
-				}
-			}
+			onRow = s.journalRow(log, batchID)
 		}
 	}
 
@@ -648,7 +638,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Degraded: lim.Degraded, Budget: lim.Budget, DeadlineMS: lim.Deadline.Milliseconds(),
 		Items: items,
 	}
-	aggregateBatch(&resp)
+	resp.Counts, resp.ExitClass = batch.AggregateRows(items)
 	s.persistBatch(batchID, resp)
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	writeJSON(w, http.StatusOK, resp)

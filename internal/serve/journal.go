@@ -2,33 +2,23 @@ package serve
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"sync"
-
-	"repro/internal/checkpoint"
-	"repro/internal/obs"
 )
 
-// The work journal is the handoff channel between daemon generations: every
-// accepted /v1/batch appends one workBatchRec (the whole request plus the
-// limits it was admitted under), each finished row appends one workRowRec,
-// and the finished batch appends one workDoneRec. A successor booting on the
-// same store replays the journal, keeps the rows that were already done
-// verbatim (exactly-once: a row is never re-analyzed once recorded), re-runs
-// only the missing ones under the *recorded* limits, and writes the same
-// normalized report the uninterrupted daemon would have — byte-identical,
-// because the analyzer is deterministic under fixed limits.
-//
-// The journal reuses the tango.ckpt/1 container (CRC-framed records, fsync
-// per append, torn-tail repair), so a SIGKILL mid-append costs at most the
-// record being written.
+// The work journal is the handoff channel between daemon generations. It is
+// the store's checkpoint.BatchLog: every accepted /v1/batch appends one
+// admission record (a workBatchRec: the whole request plus the limits it was
+// admitted under), each finished row appends one row record, a mid-batch
+// breaker trip appends a stop record, and the finished batch appends a done
+// record. A successor booting on the same store replays the log, keeps the
+// rows that were already done verbatim (exactly-once: a row is never
+// re-analyzed once recorded), re-runs only the missing ones under the
+// *recorded* limits, and writes the same normalized report the uninterrupted
+// daemon would have — byte-identical, because the analyzer is deterministic
+// under fixed limits.
 
-// workBatchRec is the journal record of one accepted batch: the request
+// workBatchRec is the admission record of one accepted batch: the request
 // fields plus the resolved limits. Limits are captured at admission on
 // purpose — a successor replays under the limits the client was promised,
 // not under whatever load the successor happens to boot into, or the
@@ -52,156 +42,8 @@ type workBatchRec struct {
 	Traces []batchTrace
 }
 
-// workRowRec records one finished row of a batch, exactly once. The row
-// itself travels as JSON, not gob: gob omits zero values even behind
-// pointers, so a mismatch row's Match=&false would replay as a nil Match and
-// the recovered report would silently lose the mismatch. JSON round-trips the
-// row exactly as the persisted report renders it.
-type workRowRec struct {
-	ID      string
-	Index   int
-	RowJSON []byte
-}
-
-// workDoneRec marks a batch fully finished and its report written.
-type workDoneRec struct {
-	ID string
-}
-
-// workStopRec records that a batch stopped early at Index because its spec's
-// panic breaker tripped mid-batch. Without it, a successor recovering the
-// batch would start with a fresh panic counter, analyze the remaining traces,
-// and produce a longer report than the uninterrupted daemon — breaking the
-// byte-identical handoff contract. With it, recovery reproduces the early
-// stop exactly.
-type workStopRec struct {
-	ID    string
-	Index int
-}
-
-// workJournal serializes appends to the store's work journal. Appends from
-// concurrent batches interleave freely — replay groups records by batch ID.
-type workJournal struct {
-	mu sync.Mutex
-	j  *checkpoint.Journal
-}
-
-func (w *workJournal) append(kind string, payload any) error {
-	if w == nil || w.j == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.j.Append(kind, payload)
-}
-
-// appendRow journals one finished row (see workRowRec for why JSON).
-func (w *workJournal) appendRow(id string, index int, row obs.BatchItem) error {
-	data, err := json.Marshal(row)
-	if err != nil {
-		return err
-	}
-	return w.append(KindWorkRow, workRowRec{ID: id, Index: index, RowJSON: data})
-}
-
-// reset installs the freshly compacted journal at the end of the boot walk.
-func (w *workJournal) reset(j *checkpoint.Journal) {
-	w.mu.Lock()
-	w.j = j
-	w.mu.Unlock()
-}
-
-func (w *workJournal) close() {
-	if w == nil || w.j == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_ = w.j.Close()
-	w.j = nil
-}
-
-// pendingBatch is one journaled batch reconstructed by replay: its admission
-// record plus every row already finished (keyed by index). stopAt is the
-// index of a journaled breaker stop, -1 if the batch never stopped early.
-type pendingBatch struct {
-	rec    workBatchRec
-	rows   map[int]obs.BatchItem
-	stopAt int
-	done   bool
-}
-
-// replayWork reads the work journal back into per-batch state, in admission
-// order. A torn tail (SIGKILL mid-append) is tolerated; duplicate row records
-// keep the first occurrence (exactly-once on replay even if a crash landed
-// between analysis and ack). A missing journal file yields an empty plan.
-func replayWork(path string) (order []string, batches map[string]*pendingBatch, truncated bool, err error) {
-	recs, truncated, err := checkpoint.ReplayJournal(path)
-	if err != nil {
-		if errIsNotExist(err) {
-			return nil, map[string]*pendingBatch{}, false, nil
-		}
-		return nil, nil, truncated, err
-	}
-	batches = make(map[string]*pendingBatch)
-	for _, rec := range recs {
-		switch rec.Kind {
-		case KindWorkBatch:
-			var b workBatchRec
-			if rec.Decode(&b) != nil {
-				continue // corrupt payload: skip, crash-only boot never stalls
-			}
-			if _, ok := batches[b.ID]; ok {
-				continue // duplicate admission (replayed journal): first wins
-			}
-			batches[b.ID] = &pendingBatch{rec: b, rows: make(map[int]obs.BatchItem), stopAt: -1}
-			order = append(order, b.ID)
-		case KindWorkRow:
-			var r workRowRec
-			if rec.Decode(&r) != nil {
-				continue
-			}
-			var row obs.BatchItem
-			if json.Unmarshal(r.RowJSON, &row) != nil {
-				continue
-			}
-			if pb, ok := batches[r.ID]; ok {
-				if _, dup := pb.rows[r.Index]; !dup {
-					pb.rows[r.Index] = row
-				}
-			}
-		case KindWorkStop:
-			var st workStopRec
-			if rec.Decode(&st) != nil {
-				continue
-			}
-			if pb, ok := batches[st.ID]; ok && pb.stopAt < 0 {
-				pb.stopAt = st.Index
-			}
-		case KindWorkDone:
-			var d workDoneRec
-			if rec.Decode(&d) != nil {
-				continue
-			}
-			if pb, ok := batches[d.ID]; ok {
-				pb.done = true
-			}
-		}
-	}
-	return order, batches, truncated, nil
-}
-
-// unfinished filters a replay plan down to the batches that still need work,
-// in admission order.
-func unfinished(order []string, batches map[string]*pendingBatch) []*pendingBatch {
-	var out []*pendingBatch
-	for _, id := range order {
-		if pb := batches[id]; pb != nil && !pb.done {
-			out = append(out, pb)
-		}
-	}
-	return out
-}
+// BatchID implements checkpoint.Admission.
+func (r workBatchRec) BatchID() string { return r.ID }
 
 // deriveBatchID computes the deterministic ID of a batch request that names
 // none: a content hash over the spec digest, options and every trace. Only
@@ -240,65 +82,4 @@ func deriveBatchID(digest string, req *batchRequest) string {
 		put(t.Expect)
 	}
 	return fmt.Sprintf("b-%x", h.Sum(nil))[:34]
-}
-
-// compactWork rewrites the journal with only the unfinished batches' records,
-// dropping everything a finished batch ever appended. Called once per boot,
-// before recovery starts appending: journal growth is bounded by the work
-// actually outstanding, not by daemon uptime. Returns an open journal
-// positioned for appends.
-//
-// The compacted journal is built in a temp file beside the live one and
-// renamed into place (then the directory is fsynced) only once every record
-// is durable — the live journal is never truncated in place, so a SIGKILL at
-// any instant of the compaction leaves either the old journal or the new one
-// intact, never a window where the unfinished batches exist nowhere.
-func compactWork(path string, order []string, batches map[string]*pendingBatch) (*checkpoint.Journal, error) {
-	tmpPath := path + ".compacting"
-	j, err := checkpoint.CreateJournal(tmpPath)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*checkpoint.Journal, error) {
-		_ = j.Close()
-		_ = os.Remove(tmpPath)
-		return nil, err
-	}
-	for _, pb := range unfinished(order, batches) {
-		if err := j.Append(KindWorkBatch, pb.rec); err != nil {
-			return fail(err)
-		}
-		idxs := make([]int, 0, len(pb.rows))
-		for i := range pb.rows {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
-			data, err := json.Marshal(pb.rows[i])
-			if err != nil {
-				continue
-			}
-			if err := j.Append(KindWorkRow, workRowRec{ID: pb.rec.ID, Index: i, RowJSON: data}); err != nil {
-				return fail(err)
-			}
-		}
-		if pb.stopAt >= 0 {
-			if err := j.Append(KindWorkStop, workStopRec{ID: pb.rec.ID, Index: pb.stopAt}); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := j.Close(); err != nil {
-		_ = os.Remove(tmpPath)
-		return nil, err
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		_ = os.Remove(tmpPath)
-		return nil, err
-	}
-	if err := checkpoint.SyncDir(filepath.Dir(path)); err != nil {
-		return nil, err
-	}
-	jj, _, err := checkpoint.OpenJournalAppend(path)
-	return jj, err
 }

@@ -50,6 +50,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/obs"
 )
 
@@ -169,7 +170,9 @@ type Server struct {
 	cache *specCache
 	reg   *obs.Registry
 	store *Store
-	wj    *workJournal
+	// log is the store's work journal; nil without a store, or when boot
+	// compaction failed (batches then run without handoff).
+	log atomic.Pointer[checkpoint.BatchLog]
 
 	started  time.Time
 	phase    atomic.Int32
@@ -213,7 +216,6 @@ func New(opts Options) *Server {
 		cache:    newSpecCache(opts.SpecCacheSize),
 		reg:      opts.Metrics,
 		store:    opts.Store,
-		wj:       &workJournal{},
 		started:  time.Now(),
 		ready:    make(chan struct{}),
 		stopBeat: make(chan struct{}),
@@ -266,24 +268,30 @@ func (s *Server) warmAndRecover() {
 	}
 
 	s.phase.Store(phaseReplaying)
-	order, batches, truncated, err := replayWork(s.store.JournalPath())
+	path := s.store.JournalPath()
+	plan, err := checkpoint.ReplayBatchLog[workBatchRec](path)
 	if err != nil {
-		s.storeError("journal replay", err)
-		order, batches = nil, map[string]*pendingBatch{}
+		if !errIsNotExist(err) {
+			s.storeError("journal replay", err)
+		}
+		plan = &checkpoint.BatchPlan[workBatchRec]{}
 	}
-	if truncated {
+	if plan.Truncated {
 		fmt.Fprintf(s.opts.Log, "serve: recover: journal had a torn tail (crash mid-append); repaired\n")
 	}
-	j, err := compactWork(s.store.JournalPath(), order, batches)
+	// Compaction keeps only the unfinished batches, so the journal grows
+	// with the work outstanding, not with daemon uptime.
+	pending := plan.Unfinished()
+	log, err := checkpoint.CompactBatchLog(path, pending)
 	if err != nil {
 		// Serve without a journal rather than not at all: batches run, they
 		// just can't hand off to the next generation.
 		s.storeError("journal compact", err)
 	} else {
-		s.wj.reset(j)
+		s.log.Store(log)
 	}
-	for _, pb := range unfinished(order, batches) {
-		s.recoverBatch(pb)
+	for _, b := range pending {
+		s.recoverBatch(b)
 	}
 }
 
@@ -342,7 +350,7 @@ func (s *Server) BeginDrain() {
 func (s *Server) AwaitIdle(ctx context.Context) error {
 	err := s.pool.awaitIdle(ctx)
 	s.beatOnce.Do(func() { close(s.stopBeat) })
-	s.wj.close()
+	_ = s.log.Load().Close() // every record was fsynced when appended
 	if err != nil {
 		fmt.Fprintf(s.opts.Log, "serve: drain: gave up waiting for in-flight analyses: %v\n", err)
 		return err

@@ -14,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/batch"
 	"repro/internal/efsm"
+	"repro/internal/supervise"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/specs"
@@ -387,6 +390,65 @@ func TestBatchEndpoint(t *testing.T) {
 	first, _ := items[0].(map[string]any)
 	if first["trace"] != "ok-1" || first["verdict"] != "valid" {
 		t.Fatalf("first row %v", first)
+	}
+}
+
+// TestBatchAggregatesLikeTangoBatch: /v1/batch aggregates its rows with the
+// rules of `tango batch`, where a checked expectation replaces the raw class,
+// so a conformance batch answers the exit class the CLI would exit with. The
+// plain and the supervised batch engines must agree on the same rows.
+func TestBatchAggregatesLikeTangoBatch(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	spec, err := efsm.Compile("echo", specs.Echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, invalid := echoTraces(t)
+	for _, tc := range []struct {
+		name       string
+		trace      string
+		exit       int
+		mismatches int
+	}{
+		{"invalid trace expected invalid", invalid, batch.ClassOK, 0},
+		{"valid trace expected invalid", valid, batch.ClassInvalid, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := mustJSON(t, map[string]any{"spec": specs.Echo, "order": "FULL",
+				"traces": []map[string]any{{"name": "t", "trace": tc.trace, "expect": "invalid"}}})
+			resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var got batchResponse
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got.ExitClass != tc.exit || got.Counts.Mismatches != tc.mismatches {
+				t.Fatalf("exit_class %d, mismatches %d; want %d and %d", got.ExitClass, got.Counts.Mismatches, tc.exit, tc.mismatches)
+			}
+
+			tr, err := trace.ReadString(tc.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := []batch.Item{{Name: "t", Trace: tr, Expect: batch.ExpectInvalid}}
+			pool := batch.Options{Workers: 1, Analysis: analysis.Options{Order: analysis.OrderFull}}
+			plain, err := batch.Run(context.Background(), spec, items, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sup, err := supervise.Run(context.Background(), spec, items, supervise.Options{Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Counts != got.Counts || sup.Counts != got.Counts ||
+				plain.ExitCode != got.ExitClass || sup.ExitCode != got.ExitClass {
+				t.Fatalf("serve %+v exit %d, batch %+v exit %d, supervised %+v exit %d",
+					got.Counts, got.ExitClass, plain.Counts, plain.ExitCode, sup.Counts, sup.ExitCode)
+			}
+		})
 	}
 }
 

@@ -11,17 +11,10 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// The serve-owned record kinds inside tango.ckpt/1 containers. Spec files
-// hold exactly one KindSpecSource snapshot; the work journal interleaves
-// KindWorkBatch / KindWorkRow / KindWorkStop / KindWorkDone records (see
-// journal.go).
-const (
-	KindSpecSource = "spec-source"
-	KindWorkBatch  = "work-batch"
-	KindWorkRow    = "work-row"
-	KindWorkStop   = "work-stop"
-	KindWorkDone   = "work-done"
-)
+// KindSpecSource is the record kind of a spec file: one tango.ckpt/1
+// snapshot per uploaded specification. The work journal is a
+// checkpoint.BatchLog (see journal.go).
+const KindSpecSource = "spec-source"
 
 // WorkJournalFile is the work journal's name inside a store directory.
 const WorkJournalFile = "work.ckpt"

@@ -23,8 +23,8 @@ import (
 
 // TestSoakSuperviseKillResume hammers the supervisor with randomized fault
 // injection: every round runs a journaled batch whose workers panic or wedge
-// at random, then "crashes" it by replaying a random journal prefix into a
-// resumed run, and checks the invariants that survive any such schedule —
+// at random, then "crashes" it by replaying a random byte prefix of the
+// journal into a resumed run, and checks the invariants that survive any such schedule —
 // the verdict set equals the fault-free reference, every row is present
 // exactly once, and requeues never inflate the row count.
 //
@@ -71,8 +71,11 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 		seed := rng.Int63()
 		dir := t.TempDir()
 		jpath := filepath.Join(dir, checkpoint.JournalFile)
-		j, err := checkpoint.CreateJournal(jpath)
+		j, err := checkpoint.CreateBatchLog(jpath)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Admit(checkpoint.BatchMeta{NumItems: len(items)}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -117,25 +120,23 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 			t.Fatalf("seed %d: faulty run verdicts differ\nwant: %s\ngot:  %s", seed, want, got)
 		}
 
-		// Crash simulation: resume from a random prefix of the journal.
-		recs, truncated, err := checkpoint.ReplayJournal(jpath)
-		if err != nil || truncated {
-			t.Fatalf("seed %d: replay err=%v truncated=%v", seed, err, truncated)
+		// Crash simulation: resume from a random byte prefix of the journal,
+		// as a SIGKILL mid-append leaves it (torn final record included).
+		data, err := os.ReadFile(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := len(checkpoint.Magic) + rng.Intn(len(data)-len(checkpoint.Magic)+1)
+		if err := os.WriteFile(jpath, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := checkpoint.ReplayBatchLog[checkpoint.BatchMeta](jpath)
+		if err != nil {
+			t.Fatalf("seed %d: replay: %v", seed, err)
 		}
 		done := map[int]obs.BatchItem{}
-		for _, rec := range recs[:rng.Intn(len(recs)+1)] {
-			if rec.Kind != checkpoint.KindBatchItem {
-				continue
-			}
-			var e checkpoint.BatchEntry
-			if err := rec.Decode(&e); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			row, err := e.Row()
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			done[e.Index] = row
+		if len(plan.Batches) == 1 {
+			done = plan.Batches[0].Rows
 		}
 		resumed, err := supervise.Run(context.Background(), spec, items,
 			supervise.Options{Pool: pool, Done: done})

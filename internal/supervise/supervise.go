@@ -20,10 +20,10 @@
 // obs metrics (batch.requeued, batch.quarantined, batch.worker_restarts,
 // batch.resumed) and trace events (worker_restart, requeue, quarantine).
 //
-// When Options.Journal is set, every final row is appended to a tango.ckpt/1
-// journal as it is sealed, fsync'd per record; a later run can replay the
-// journal into Options.Done and skip finished work. Restored rows are kept
-// verbatim, and incomplete items re-run from scratch on a deterministic
+// When Options.Journal is set, every final row is appended to the batch log
+// (checkpoint.BatchLog) as it is sealed, fsync'd per record; a later run can
+// replay the log into Options.Done and skip finished work. Restored rows are
+// kept verbatim, and incomplete items re-run from the start on a deterministic
 // analyzer, so a killed-and-resumed run's normalized report is byte-identical
 // to an uninterrupted one.
 //
@@ -75,10 +75,10 @@ type Options struct {
 	// kill window for crash drills and the kill-resume integration test.
 	Throttle time.Duration
 
-	// Journal, when non-nil, receives one checkpoint.BatchEntry per final row,
-	// in completion order. The caller owns the journal (creation, meta record,
-	// close).
-	Journal *checkpoint.Journal
+	// Journal, when non-nil, receives one row record per final row, in
+	// completion order, under batch ID "". The caller owns the log
+	// (creation, admission record, close).
+	Journal *checkpoint.BatchLog
 
 	// Done maps corpus indexes to rows restored from a replayed journal; the
 	// supervisor seals them verbatim (marked Resumed) without re-running.
@@ -98,10 +98,15 @@ type Result struct {
 	Counts  obs.BatchCounts
 	Workers int
 	Wall    time.Duration
-	// ExitCode aggregates per-row classes with batch.Aggregate's rules.
+	// ExitCode aggregates per-row classes with batch.Aggregate.
 	ExitCode int
 	// Restarts counts workers torn down and respawned.
 	Restarts int
+	// JournalFailures counts rows the journal failed to record, and
+	// JournalErr is the first failure. The run goes on without them; a
+	// resume analyzes those traces again.
+	JournalFailures int
+	JournalErr      error
 }
 
 // job is the supervisor's view of one corpus item not yet sealed.
@@ -277,14 +282,17 @@ func Run(ctx context.Context, spec *efsm.Spec, items []batch.Item, opts Options)
 		sealed[idx] = true
 		s.bumpDone()
 		if opts.Journal != nil && !row.Skipped {
-			// Encode and append errors must not lose the verdict; the row
-			// stays in the in-memory report and only resumability degrades.
-			// Skipped rows (drained on cancellation) are this run's
-			// placeholders, not durable verdicts: journaling them would make
-			// a resumed run restore "skipped" forever instead of analyzing
-			// the trace.
-			if e, err := checkpoint.NewBatchEntry(idx, row); err == nil {
-				_ = opts.Journal.Append(checkpoint.KindBatchItem, e)
+			// A failed append must not lose the verdict: the row stays in
+			// the in-memory report and only resumability degrades, which
+			// the result reports. Skipped rows (drained on cancellation)
+			// are this run's placeholders, not durable verdicts: journaling
+			// them would make a resumed run restore "skipped" forever
+			// instead of analyzing the trace.
+			if err := opts.Journal.Row("", idx, row); err != nil {
+				if res.JournalFailures == 0 {
+					res.JournalErr = err
+				}
+				res.JournalFailures++
 			}
 		}
 		if p.OnHeartbeat != nil {
@@ -494,7 +502,9 @@ func Run(ctx context.Context, spec *efsm.Spec, items []batch.Item, opts Options)
 		close(h.in)
 	}
 	res.Wall = time.Since(start)
-	aggregateRows(res)
+	sv := res.Counts // the supervision outcomes counted while sealing
+	res.Counts, res.ExitCode = batch.AggregateRows(res.Rows)
+	res.Counts.Resumed, res.Counts.Requeued, res.Counts.Quarantined = sv.Resumed, sv.Requeued, sv.Quarantined
 	return res, nil
 }
 
@@ -583,46 +593,6 @@ func itemName(it batch.Item) string {
 		return it.Name
 	}
 	return it.Path
-}
-
-// aggregateRows fills Counts (beyond the supervision counters already
-// accumulated) and ExitCode from the sealed rows, with batch.Aggregate's
-// rules: expectations replace raw classes, the aggregate is the most severe
-// effective class (0 < 2 < 3 < 4 < 1).
-func aggregateRows(res *Result) {
-	sev := map[int]int{batch.ClassOK: 0, batch.ClassInvalid: 1,
-		batch.ClassInconclusive: 2, batch.ClassBadTrace: 3, batch.ClassError: 4}
-	exit := batch.ClassOK
-	for i := range res.Rows {
-		row := &res.Rows[i]
-		switch {
-		case row.Skipped:
-			res.Counts.Skipped++
-		case row.ExitClass == batch.ClassOK:
-			res.Counts.Valid++
-		case row.ExitClass == batch.ClassInvalid:
-			res.Counts.Invalid++
-		case row.ExitClass == batch.ClassInconclusive:
-			res.Counts.Inconclusive++
-		case row.ExitClass == batch.ClassBadTrace:
-			res.Counts.BadTrace++
-		case row.ExitClass == batch.ClassError:
-			res.Counts.Errors++
-		}
-		eff := row.ExitClass
-		if row.Match != nil {
-			if *row.Match {
-				eff = batch.ClassOK
-			} else {
-				eff = batch.ClassInvalid
-				res.Counts.Mismatches++
-			}
-		}
-		if sev[eff] > sev[exit] {
-			exit = eff
-		}
-	}
-	res.ExitCode = exit
 }
 
 // BuildReport assembles the tango.batch/1 record of a supervised run.

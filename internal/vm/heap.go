@@ -171,27 +171,6 @@ func (h *Heap) Snapshot() *Heap {
 	return out
 }
 
-// DeepSnapshot returns an eagerly deep-copied heap rooting a fresh snapshot
-// family. It is the legacy Save strategy, kept for before/after benchmarking
-// (analysis.Options.EagerSnapshots) and for callers that want a state with
-// no structural sharing at all (checkpointing).
-func (h *Heap) DeepSnapshot() *Heap {
-	ctr := new(atomic.Uint64)
-	ctr.Store(1)
-	out := &Heap{
-		cells:    make(map[int64]*cell, len(h.cells)),
-		next:     h.next,
-		Allocs:   h.Allocs,
-		Disposes: h.Disposes,
-		gen:      1,
-		genCtr:   ctr,
-	}
-	for a, c := range h.cells {
-		out.cells[a] = &cell{v: c.v.Copy(), gen: 1}
-	}
-	return out
-}
-
 // Fingerprint writes a canonical representation of the heap reachable-state
 // into sb. Cells are visited in address order; because address allocation is
 // deterministic along any execution path, equal heaps along different paths
@@ -242,16 +221,6 @@ func (s *State) Snapshot() *State {
 		copyValueInto(&out.Globals[i], &s.Globals[i])
 	}
 	out.Heap = s.Heap.Snapshot()
-	return out
-}
-
-// DeepSnapshot returns an eagerly deep-copied state with no structural
-// sharing (the legacy Save strategy; see Heap.DeepSnapshot).
-func (s *State) DeepSnapshot() *State {
-	out := &State{FSM: s.FSM, Globals: make([]Value, len(s.Globals)), Heap: s.Heap.DeepSnapshot()}
-	for i := range s.Globals {
-		out.Globals[i] = s.Globals[i].Copy()
-	}
 	return out
 }
 
