@@ -25,6 +25,9 @@ func (c *checker) checkStmt(s ast.Stmt, sc *scope, inFunc bool) {
 	case *ast.EmptyStmt:
 	case *ast.AssignStmt:
 		lt := c.checkLValue(s.LHS, sc)
+		root, _ := designatorRoot(s.LHS).(*ast.Ident)
+		vs, _ := c.prog.Info.Uses[root].(*VarSym)
+		c.noteWrite(vs)
 		rt := c.checkExpr(s.RHS, sc)
 		if lt != nil && rt != nil && !types.AssignableFrom(lt, rt) {
 			c.errorf(s.Pos(), "cannot assign %s to %s", rt, lt)
@@ -50,6 +53,7 @@ func (c *checker) checkStmt(s ast.Stmt, sc *scope, inFunc bool) {
 			c.errorf(s.Pos(), "for loop variable %s is not a variable", s.Var)
 		} else {
 			c.prog.Info.ForVars[s] = vs
+			c.noteWrite(vs)
 			if !vs.Type.IsOrdinal() {
 				c.errorf(s.Pos(), "for loop variable %s must be ordinal, got %s", s.Var, vs.Type)
 			}
@@ -161,6 +165,7 @@ func (c *checker) checkCallStmt(s *ast.CallStmt, sc *scope) {
 
 func (c *checker) checkArgs(site ast.Node, fs *FuncSym, args []ast.Expr, sc *scope) {
 	c.prog.Info.Calls[site] = fs
+	c.noteCall(fs, site.Pos())
 	if len(args) != len(fs.Params) {
 		c.errorf(site.Pos(), "%s expects %d arguments, got %d", fs.Name, len(fs.Params), len(args))
 		return
@@ -225,6 +230,7 @@ func (c *checker) checkBuiltin(site ast.Node, b Builtin, args []ast.Expr, sc *sc
 			return nil
 		}
 		t := c.checkLValue(args[0], sc)
+		c.noteWrite(nil)
 		if t != nil && t.Kind != types.Pointer {
 			c.errorf(args[0].Pos(), "new/dispose argument must be a pointer variable, got %s", t)
 		}
@@ -363,6 +369,7 @@ func (c *checker) checkExprInner(e ast.Expr, sc *scope) *types.Type {
 			}
 			c.prog.Info.Uses[e] = sym
 			c.prog.Info.Calls[e] = sym
+			c.noteCall(sym, e.Pos())
 			return sym.Result
 		case nil:
 			if strings.EqualFold(e.Name, "nil") {

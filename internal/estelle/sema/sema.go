@@ -295,6 +295,22 @@ type checker struct {
 	// deferred holds pointer types whose target names were forward
 	// references, resolved once the surrounding declaration list is complete.
 	deferred []deferredPtr
+
+	// impure first marks the routines whose own bodies change module state;
+	// callees records each routine's calls, and checkPureGuards closes
+	// impure over them once every body is checked. guard is the transition
+	// whose provided clause is being checked, and guardCalls the routines
+	// such clauses call.
+	impure     map[*FuncSym]bool
+	callees    map[*FuncSym][]*FuncSym
+	guard      *TransInfo
+	guardCalls []guardCall
+}
+
+type guardCall struct {
+	ti  *TransInfo
+	fs  *FuncSym
+	pos token.Pos
 }
 
 type deferredPtr struct {
@@ -342,6 +358,8 @@ func Check(spec *ast.Spec) (*Program, error) {
 				ForVars:     make(map[*ast.ForStmt]*VarSym),
 			},
 		},
+		impure:  make(map[*FuncSym]bool),
+		callees: make(map[*FuncSym][]*FuncSym),
 	}
 	c.universe = newScope(nil)
 	for _, t := range []*types.Type{types.Int, types.Bool, types.Chr} {
@@ -610,6 +628,51 @@ func (c *checker) checkModuleBody(b *ast.ModuleBody) {
 	if len(c.prog.Trans) == 0 {
 		c.errorf(b.Pos(), "body %s declares no transitions", b.Name)
 	}
+	c.checkPureGuards()
+}
+
+// checkPureGuards rejects a provided clause that calls an impure routine:
+// one that assigns a module variable, a var parameter or anything through
+// ^, calls new or dispose, or calls an impure routine. The analyzer
+// evaluates every guard on a node's saved state, so a write there would
+// leak into every later sibling.
+func (c *checker) checkPureGuards() {
+	impure := c.impure
+	for changed := true; changed; {
+		changed = false
+		for _, fs := range c.prog.Funcs {
+			for _, callee := range c.callees[fs] {
+				if !impure[fs] && impure[callee] {
+					impure[fs], changed = true, true
+				}
+			}
+		}
+	}
+	for _, gc := range c.guardCalls {
+		if impure[gc.fs] {
+			c.errorf(gc.pos, "transition %s: provided clause calls %s, which changes module state",
+				gc.ti.Name, gc.fs.Name)
+		}
+	}
+}
+
+// noteCall records a call of fs for checkPureGuards.
+func (c *checker) noteCall(fs *FuncSym, pos token.Pos) {
+	switch {
+	case c.curFunc != nil:
+		c.callees[c.curFunc] = append(c.callees[c.curFunc], fs)
+	case c.guard != nil:
+		c.guardCalls = append(c.guardCalls, guardCall{ti: c.guard, fs: fs, pos: pos})
+	}
+}
+
+// noteWrite marks the routine being checked impure unless the variable it
+// writes is one of its own locals. vs is nil for a write through ^ and for
+// new and dispose, which change the heap.
+func (c *checker) noteWrite(vs *VarSym) {
+	if c.curFunc != nil && (vs == nil || vs.Kind != LocalVar && vs.Kind != ResultVar) {
+		c.impure[c.curFunc] = true
+	}
 }
 
 func (c *checker) checkTransition(td *ast.Transition) {
@@ -684,7 +747,9 @@ func (c *checker) checkTransition(td *ast.Transition) {
 	}
 	// Provided clause.
 	if td.Provided != nil {
+		c.guard = ti
 		t := c.checkExpr(td.Provided, scopeForBody)
+		c.guard = nil
 		if t != nil && t.Root().Kind != types.Boolean {
 			c.errorf(td.Provided.Pos(), "transition %s: provided clause must be boolean, got %s", ti.Name, t)
 		}

@@ -258,6 +258,43 @@ procedure outer;
   begin end;
 begin end;
 `+minimalTail), "nested function")
+
+	// A provided clause must not change module state, not even through a
+	// routine it calls: Generate evaluates every guard on the node's saved
+	// state, so a write there would leak into every later sibling.
+	guard := func(decls, provided string) string {
+		return base(`
+var g : integer; gp : ^integer;
+` + decls + `
+state S0;
+initialize to S0 begin g := 0 end;
+trans
+  from S0 to S0 when P.m provided ` + provided + ` name t1: begin output P.r(g) end;
+`)
+	}
+	wantErr(t, guard(`
+function bump(x : integer) : boolean;
+begin g := g + 1; bump := true end;`, "bump(v)"), "transition t1: provided clause calls bump, which changes module state")
+	for _, c := range []struct{ decls, call string }{
+		{`function f(var y : integer) : boolean; begin y := 1; f := true end;`, "f(g)"},
+		{`function f(x : integer) : boolean; begin gp^ := x; f := true end;`, "f(v)"},
+		{`function f : boolean; var p : ^integer; begin new(p); f := true end;`, "f"},
+		{`function f(x : integer) : boolean; begin dispose(gp); f := true end;`, "f(v)"},
+		{`function f(x : integer) : boolean; begin for g := 1 to x do; f := true end;`, "f(v)"},
+		{`procedure store; begin g := 1 end;
+function f(x : integer) : boolean; begin store; f := x > 0 end;`, "(v > 0) and f(v)"},
+		{`function h(x : integer) : boolean; begin g := x; h := true end;
+function f(x : integer) : boolean; begin f := h(x) end;`, "not f(v)"},
+	} {
+		wantErr(t, guard(c.decls, c.call), "provided clause calls f, which changes module state")
+	}
+	// Reads, locals, value parameters and the result are fine in a guard,
+	// and an impure routine is fine in a block.
+	checkOK(t, guard(`
+procedure store; begin g := 1 end;
+function f(x : integer) : boolean; var l : integer;
+begin l := x + g; if gp <> nil then l := l + gp^; x := l; f := l > 0 end;
+function w(x : integer) : boolean; begin store; w := f(x) end;`, "f(v) and (g = 0)"))
 }
 
 func TestIPArrays(t *testing.T) {

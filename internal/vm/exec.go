@@ -78,16 +78,18 @@ type Code struct {
 
 type transCode struct {
 	ti       *sema.TransInfo
-	provided exprFn // nil when there is no provided clause
-	body     stmtFn // nil when there is no block
+	provided scalarFn // nil when there is no provided clause
+	body     stmtFn   // nil when there is no block
 }
 
-// The three closure shapes: an expression's value, a statement's effect,
-// and a designator's location.
+// The closure shapes: an expression's value; the scalar of an ordinal or
+// pointer expression (its ordinal and its undefined attribute); a
+// statement's effect; and a designator's location.
 type (
-	exprFn func(e *Exec) (Value, error)
-	stmtFn func(e *Exec) error
-	lvalFn func(e *Exec) (*Value, error)
+	exprFn   func(e *Exec) (Value, error)
+	scalarFn func(e *Exec) (int64, bool, error)
+	stmtFn   func(e *Exec) error
+	lvalFn   func(e *Exec) (*Value, error)
 )
 
 // Exec executes compiled transition blocks against a State. An Exec is not
@@ -237,8 +239,8 @@ func (e *Exec) transCode(ti *sema.TransInfo) (*transCode, error) {
 
 // EvalProvided evaluates a transition's provided clause against st with the
 // given interaction parameters bound. Undefined results are true in partial
-// mode (§5.1). Provided clauses are required to be side-effect free; any
-// function they call must not assign globals.
+// mode (§5.1). Provided clauses are side-effect free: sema rejects a clause
+// that calls a routine which changes module state.
 func (e *Exec) EvalProvided(st *State, ti *sema.TransInfo, params []Value) (ok bool, err error) {
 	tc, err := e.transCode(ti)
 	if err != nil {
@@ -249,14 +251,14 @@ func (e *Exec) EvalProvided(st *State, ti *sema.TransInfo, params []Value) (ok b
 	}
 	defer e.finish("provided clause of ", ti.Name, &err)
 	e.begin(st, params, nil)
-	v, err := tc.provided(e)
+	b, undef, err := tc.provided(e)
 	if err != nil {
 		return false, err
 	}
-	if v.Undef {
+	if undef {
 		return e.Partial, nil
 	}
-	return v.Bool(), nil
+	return b != 0, nil
 }
 
 // Execute runs transition ti against st in place (the paper's Update
@@ -426,7 +428,7 @@ func Compile(prog *sema.Program) *Code {
 		tc := &code.trans[i]
 		tc.ti = ti
 		if ti.Provided != nil {
-			tc.provided = c.expr(ti.Provided)
+			tc.provided = c.scalar(ti.Provided)
 		}
 		if ti.Decl.Body != nil {
 			tc.body = c.seq(ti.Decl.Body.Stmts)
@@ -445,6 +447,11 @@ type funcCode struct{ body stmtFn }
 func failExpr(pos token.Pos, format string, args ...any) exprFn {
 	err := rte(pos, format, args...)
 	return func(*Exec) (Value, error) { return Value{}, err }
+}
+
+func failScalar(pos token.Pos, format string, args ...any) scalarFn {
+	err := rte(pos, format, args...)
+	return func(*Exec) (int64, bool, error) { return 0, false, err }
 }
 
 func failLval(pos token.Pos, format string, args ...any) lvalFn {
@@ -498,7 +505,22 @@ func (c *compiler) stmtBody(s ast.Stmt) stmtFn {
 	case *ast.EmptyStmt:
 		return func(*Exec) error { return nil }
 	case *ast.AssignStmt:
-		rhs, lhs := c.expr(s.RHS), c.lvalue(s.LHS)
+		lhs := c.lvalue(s.LHS)
+		if scalarType(c.info.Types[s.LHS]) {
+			rhs := c.scalar(s.RHS)
+			return func(e *Exec) error {
+				i, undef, err := rhs(e)
+				if err != nil {
+					return err
+				}
+				lv, err := lhs(e)
+				if err != nil {
+					return err
+				}
+				return store(lv, i, undef, pos)
+			}
+		}
+		rhs := c.expr(s.RHS)
 		return func(e *Exec) error {
 			v, err := rhs(e)
 			if err != nil {
@@ -508,7 +530,8 @@ func (c *compiler) stmtBody(s ast.Stmt) stmtFn {
 			if err != nil {
 				return err
 			}
-			return assign(lv, v, pos)
+			*lv = coerce(lv.T, v).Copy()
+			return nil
 		}
 	case *ast.IfStmt:
 		cond, then, els := c.cond(s.Cond), c.stmt(s.Then), stmtFn(nil)
@@ -589,26 +612,26 @@ func (c *compiler) forStmt(s *ast.ForStmt) stmtFn {
 	if vs == nil {
 		return failStmt(pos, "unresolved for-loop variable %s", s.Var)
 	}
-	from, to, loc, body := c.expr(s.From), c.expr(s.To), c.varRef(vs, pos), c.stmt(s.Body)
-	t, down := vs.Type.Root(), s.Down
+	from, to, loc, body := c.scalar(s.From), c.scalar(s.To), c.varRef(vs, pos), c.stmt(s.Body)
+	down := s.Down
 	return func(e *Exec) error {
-		fv, err := from(e)
+		fi, fu, err := from(e)
 		if err != nil {
 			return err
 		}
-		tv, err := to(e)
+		ti, tu, err := to(e)
 		if err != nil {
 			return err
 		}
-		if fv.Undef || tv.Undef {
+		if fu || tu {
 			return rte(pos, "for-loop bound is undefined")
 		}
 		lv, err := loc(e)
 		if err != nil {
 			return err
 		}
-		for i := fv.I; !(down && i < tv.I || !down && i > tv.I); {
-			if err := assign(lv, MakeOrdinal(t, i), pos); err != nil {
+		for i := fi; !(down && i < ti || !down && i > ti); {
+			if err := store(lv, i, false, pos); err != nil {
 				return err
 			}
 			if err := body(e); err != nil {
@@ -630,20 +653,20 @@ func (c *compiler) forStmt(s *ast.ForStmt) stmtFn {
 func (c *compiler) caseStmt(s *ast.CaseStmt) stmtFn {
 	pos := s.Pos()
 	type arm struct {
-		labels []exprFn
+		labels []scalarFn
 		body   stmtFn
 	}
-	sel, els := c.expr(s.Expr), c.seq(s.Else)
+	sel, els := c.scalar(s.Expr), c.seq(s.Else)
 	arms := make([]arm, len(s.Arms))
 	for i, a := range s.Arms {
-		arms[i] = arm{labels: c.exprs(a.Labels), body: c.stmt(a.Body)}
+		arms[i] = arm{labels: c.scalars(a.Labels), body: c.stmt(a.Body)}
 	}
 	return func(e *Exec) error {
-		v, err := sel(e)
+		v, undef, err := sel(e)
 		if err != nil {
 			return err
 		}
-		if v.Undef {
+		if undef {
 			// Partial mode: fork over the arms with one binary decision each
 			// (§5.3); the first arm whose decision is true executes.
 			if !e.Partial {
@@ -658,11 +681,11 @@ func (c *compiler) caseStmt(s *ast.CaseStmt) stmtFn {
 		}
 		for _, a := range arms {
 			for _, lab := range a.labels {
-				lv, err := lab(e)
+				l, lu, err := lab(e)
 				if err != nil {
 					return err
 				}
-				if !lv.Undef && lv.I == v.I {
+				if !lu && l == v {
 					return a.body(e)
 				}
 			}
@@ -685,23 +708,27 @@ func (c *compiler) output(s *ast.OutputStmt) stmtFn {
 		}
 		idx = ix.Indexes
 	}
-	idxFns, args, argPos := c.exprs(idx), c.exprs(s.Args), positions(s.Args)
+	idxFns := c.scalars(idx)
+	args := make([]exprFn, len(s.Args))
+	for i, a := range s.Args {
+		args[i] = c.arg(inter.Params[i].Type, a)
+	}
 	return func(e *Exec) error {
 		ip := group.Base
 		if len(idxFns) > 0 {
 			vals := make([]int64, len(idxFns))
 			for i, f := range idxFns {
-				v, err := f(e)
+				v, undef, err := f(e)
 				if err != nil {
 					return err
 				}
-				if v.Undef {
+				if undef {
 					// §5.4: an undefined interaction-point index cannot be
 					// resolved; this is one of the cases that makes partial
 					// trace analysis of demultiplexers impossible.
 					return rte(idx[i].Pos(), "output ip index is undefined")
 				}
-				vals[i] = v.I
+				vals[i] = v
 			}
 			off := group.FlatIndex(vals)
 			if off < 0 {
@@ -712,13 +739,10 @@ func (c *compiler) output(s *ast.OutputStmt) stmtFn {
 		params := make([]Value, len(args))
 		for i, a := range args {
 			v, err := a(e)
-			if err == nil {
-				v, err = coerce(inter.Params[i].Type, v, argPos[i])
-			}
 			if err != nil {
 				return err
 			}
-			params[i] = v.Copy()
+			params[i] = v
 		}
 		e.outputs = append(e.outputs, Output{IP: ip, Inter: inter, Params: params})
 		return nil
@@ -762,19 +786,19 @@ func (c *compiler) builtinStmt(s *ast.CallStmt, b sema.Builtin) stmtFn {
 // cond compiles a statement condition; undefined conditions fork in partial
 // mode (§5.3) and are errors otherwise.
 func (c *compiler) cond(x ast.Expr) func(*Exec) (bool, error) {
-	f, pos := c.expr(x), x.Pos()
+	f, pos := c.scalar(x), x.Pos()
 	return func(e *Exec) (bool, error) {
-		v, err := f(e)
+		b, undef, err := f(e)
 		if err != nil {
 			return false, err
 		}
-		if v.Undef {
+		if undef {
 			if !e.Partial {
 				return false, rte(pos, "condition is undefined")
 			}
 			return e.decide(), nil
 		}
-		return v.Bool(), nil
+		return b != 0, nil
 	}
 }
 
@@ -839,16 +863,16 @@ func (c *compiler) lvalue(x ast.Expr) lvalFn {
 			return &b.Elems[i], nil
 		}
 	case *ast.DerefExpr:
-		ptr := c.expr(x.X)
+		ptr := c.scalar(x.X)
 		return func(e *Exec) (*Value, error) {
-			pv, err := ptr(e)
+			p, undef, err := ptr(e)
 			if err != nil {
 				return nil, err
 			}
-			if pv.Undef {
+			if undef {
 				return nil, rte(pos, "dereference of undefined pointer")
 			}
-			cell, err := e.state.Heap.Get(pv.I)
+			cell, err := e.state.Heap.Get(p)
 			if err != nil {
 				return nil, rte(pos, "%v", err)
 			}
@@ -862,7 +886,7 @@ func (c *compiler) lvalue(x ast.Expr) lvalFn {
 // index compiles x's index list into the flattened element offset within an
 // array of run-time type t.
 func (c *compiler) index(x *ast.IndexExpr) func(e *Exec, t *types.Type) (int, error) {
-	pos, idx, ipos := x.Pos(), c.exprs(x.Indexes), positions(x.Indexes)
+	pos, idx, ipos := x.Pos(), c.scalars(x.Indexes), positions(x.Indexes)
 	return func(e *Exec, t *types.Type) (int, error) {
 		at := t.Root()
 		if at.Kind != types.Array {
@@ -870,18 +894,18 @@ func (c *compiler) index(x *ast.IndexExpr) func(e *Exec, t *types.Type) (int, er
 		}
 		off := 0
 		for d, f := range idx {
-			v, err := f(e)
+			v, undef, err := f(e)
 			if err != nil {
 				return 0, err
 			}
-			if v.Undef {
+			if undef {
 				return 0, rte(ipos[d], "array index is undefined")
 			}
 			lo, hi := at.Indexes[d].OrdinalRange()
-			if v.I < lo || v.I > hi {
-				return 0, rte(ipos[d], "array index %d out of range %d..%d", v.I, lo, hi)
+			if v < lo || v > hi {
+				return 0, rte(ipos[d], "array index %d out of range %d..%d", v, lo, hi)
 			}
-			off = off*int(hi-lo+1) + int(v.I-lo)
+			off = off*int(hi-lo+1) + int(v-lo)
 		}
 		return off, nil
 	}
@@ -909,38 +933,81 @@ func (c *compiler) field(x *ast.SelectorExpr) func(t *types.Type) (int, error) {
 	}
 }
 
-// coerce adapts v to location type dst, performing Pascal range checks.
-func coerce(dst *types.Type, v Value, pos token.Pos) (Value, error) {
-	if v.Undef {
+// scalarType reports whether values of t have a scalar form: ordinals and
+// pointers.
+func scalarType(t *types.Type) bool {
+	return t != nil && (t.IsOrdinal() || t.Kind == types.Pointer)
+}
+
+// scalarValue builds the value a location of type dst holds after storing
+// the scalar (i, undef), with the Pascal range check against dst. An
+// undefined scalar carries no type; it stores as dst's undefined zero value.
+func scalarValue(dst *types.Type, i int64, undef bool, pos token.Pos) (Value, error) {
+	if undef {
 		return Zero(dst, true), nil
 	}
 	if dst.IsOrdinal() {
 		lo, hi := dst.OrdinalRange()
-		if v.I < lo || v.I > hi {
-			return Value{}, rte(pos, "value %d out of range %d..%d", v.I, lo, hi)
+		if i < lo || i > hi {
+			return Value{}, rte(pos, "value %d out of range %d..%d", i, lo, hi)
 		}
 	}
-	v.T = dst
-	return v, nil
+	return Value{T: dst, I: i}, nil
 }
 
-func assign(lv *Value, v Value, pos token.Pos) error {
-	cv, err := coerce(lv.T, v, pos)
-	if err != nil {
-		return err
+// store assigns the scalar (i, undef) to the ordinal or pointer location lv,
+// range-checked against the location's run-time type.
+func store(lv *Value, i int64, undef bool, pos token.Pos) error {
+	v, err := scalarValue(lv.T, i, undef, pos)
+	if err == nil {
+		*lv = v
 	}
-	cv = cv.Copy()
-	cv.T = lv.T
-	*lv = cv
-	return nil
+	return err
+}
+
+// coerce adapts the structured value v to location type dst. Ordinal and
+// pointer values are stored through scalarValue instead.
+func coerce(dst *types.Type, v Value) Value {
+	if v.Undef {
+		return Zero(dst, true)
+	}
+	v.T = dst
+	return v
+}
+
+// arg compiles x as the value stored into a new location of type t, a value
+// parameter or an output parameter: range-checked and deep-copied.
+func (c *compiler) arg(t *types.Type, x ast.Expr) exprFn {
+	pos := x.Pos()
+	if scalarType(t) {
+		f := c.scalar(x)
+		return func(e *Exec) (Value, error) {
+			i, undef, err := f(e)
+			if err != nil {
+				return Value{}, err
+			}
+			return scalarValue(t, i, undef, pos)
+		}
+	}
+	f := c.expr(x)
+	return func(e *Exec) (Value, error) {
+		v, err := f(e)
+		if err != nil {
+			return Value{}, err
+		}
+		return coerce(t, v).Copy(), nil
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Expressions
-
-func constExpr(v Value) exprFn {
-	return func(*Exec) (Value, error) { return v, nil }
-}
+//
+// An expression whose checked type is ordinal or pointer compiles into a
+// scalarFn, which returns the ordinal and the undefined attribute without
+// building a Value; so do its operands. Set operators, `in`, structured
+// = and <>, function calls, reads of records, arrays and heap cells, and
+// succ/pred compile into exprFns that build a Value; scalar consumers read
+// those through a wrapper.
 
 func positions(xs []ast.Expr) []token.Pos {
 	ps := make([]token.Pos, len(xs))
@@ -950,41 +1017,258 @@ func positions(xs []ast.Expr) []token.Pos {
 	return ps
 }
 
-func (c *compiler) exprs(xs []ast.Expr) []exprFn {
-	fns := make([]exprFn, len(xs))
+func (c *compiler) scalars(xs []ast.Expr) []scalarFn {
+	fns := make([]scalarFn, len(xs))
 	for i, x := range xs {
-		fns[i] = c.expr(x)
+		fns[i] = c.scalar(x)
 	}
 	return fns
 }
 
-func (c *compiler) expr(x ast.Expr) exprFn {
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func constScalar(i int64) scalarFn {
+	return func(*Exec) (int64, bool, error) { return i, false, nil }
+}
+
+// scalar compiles x, whose checked type is ordinal or pointer.
+func (c *compiler) scalar(x ast.Expr) scalarFn {
 	pos := x.Pos()
 	switch x := x.(type) {
 	case *ast.IntLit:
-		return constExpr(MakeInt(x.Value))
+		return constScalar(x.Value)
 	case *ast.BoolLit:
-		return constExpr(MakeBool(x.Value))
+		return constScalar(b2i(x.Value))
 	case *ast.CharLit:
-		return constExpr(MakeOrdinal(types.Chr, int64(x.Value)))
+		return constScalar(int64(x.Value))
 	case *ast.Ident:
 		switch sym := c.info.Uses[x].(type) {
 		case *sema.VarSym:
-			return c.load(sym, pos)
+			return c.loadScalar(sym, pos)
 		case *sema.ConstSym:
-			if sema.NilConst(sym) {
-				return constExpr(Value{T: sym.Type})
+			return constScalar(sym.Val) // nil is 0
+		case *sema.FuncSym:
+			return scalarOf(c.call(sym, nil, pos))
+		}
+		return failScalar(pos, "unresolved identifier %s", x.Name)
+	case *ast.UnaryExpr:
+		return c.scalarUnary(x)
+	case *ast.BinaryExpr:
+		if !c.valueOp(x) {
+			return c.scalarBinary(x)
+		}
+	case *ast.CallExpr:
+		if b, ok := c.info.Builtins[x]; ok && b != sema.BuiltinSucc && b != sema.BuiltinPred {
+			return c.scalarBuiltin(x, b)
+		}
+	case *ast.IndexExpr, *ast.SelectorExpr, *ast.DerefExpr:
+	default:
+		return failScalar(pos, "unsupported expression")
+	}
+	return scalarOf(c.expr(x))
+}
+
+// scalarOf reads the scalar of an expression that has no scalar form.
+func scalarOf(f exprFn) scalarFn {
+	return func(e *Exec) (int64, bool, error) {
+		v, err := f(e)
+		return v.I, v.Undef, err
+	}
+}
+
+// loadScalar compiles a read of the ordinal or pointer variable vs.
+func (c *compiler) loadScalar(vs *sema.VarSym, pos token.Pos) scalarFn {
+	slot := vs.Slot
+	switch vs.Kind {
+	case sema.GlobalVar:
+		return func(e *Exec) (int64, bool, error) {
+			v := &e.state.Globals[slot]
+			return v.I, v.Undef, nil
+		}
+	case sema.LocalVar, sema.ResultVar:
+		return func(e *Exec) (int64, bool, error) {
+			v := &e.cur.slots[slot]
+			return v.I, v.Undef, nil
+		}
+	case sema.RefParam:
+		return func(e *Exec) (int64, bool, error) {
+			v := e.cur.refs[slot]
+			return v.I, v.Undef, nil
+		}
+	case sema.InterParamVar:
+		return func(e *Exec) (int64, bool, error) {
+			if slot >= len(e.interParams) {
+				return 0, false, rte(pos, "interaction parameter %s not bound", vs.Name)
 			}
-			return constExpr(MakeOrdinal(sym.Type, sym.Val))
+			v := &e.interParams[slot]
+			return v.I, v.Undef, nil
+		}
+	default:
+		return failScalar(pos, "cannot locate variable %s", vs.Name)
+	}
+}
+
+func (c *compiler) scalarUnary(x *ast.UnaryExpr) scalarFn {
+	operand, op := c.scalar(x.X), x.Op
+	return func(e *Exec) (int64, bool, error) {
+		i, undef, err := operand(e)
+		switch {
+		case err != nil || undef:
+			return 0, undef, err
+		case op == token.NOT:
+			return b2i(i == 0), false, nil
+		case op == token.MINUS:
+			return -i, false, nil
+		}
+		return i, false, nil
+	}
+}
+
+// valueOp reports whether x is a binary operator without a scalar form:
+// `in`, and the set and structured operators, whose operands are not
+// scalars.
+func (c *compiler) valueOp(x *ast.BinaryExpr) bool {
+	return x.Op == token.IN || !scalarType(c.info.Types[x.X])
+}
+
+func (c *compiler) scalarBinary(x *ast.BinaryExpr) scalarFn {
+	a, b, op, pos := c.scalar(x.X), c.scalar(x.Y), x.Op, x.Pos()
+	if op == token.AND || op == token.OR {
+		// Kleene logic, left operand first: a defined operand decides `and`
+		// when false and `or` when true, on either side, so `defined-false
+		// and undefined` is a defined false. Only a deciding left operand
+		// skips the right one.
+		or := op == token.OR
+		return func(e *Exec) (int64, bool, error) {
+			ai, au, err := a(e)
+			if err != nil {
+				return 0, false, err
+			}
+			if !au && (ai != 0) == or {
+				return b2i(or), false, nil
+			}
+			bi, bu, err := b(e)
+			if err != nil {
+				return 0, false, err
+			}
+			if !bu && (bi != 0) == or {
+				return b2i(or), false, nil
+			}
+			if au || bu {
+				return 0, true, nil
+			}
+			return b2i(!or), false, nil
+		}
+	}
+	return func(e *Exec) (int64, bool, error) {
+		ai, au, err := a(e)
+		if err != nil {
+			return 0, false, err
+		}
+		bi, bu, err := b(e)
+		if err != nil {
+			return 0, false, err
+		}
+		if au || bu {
+			return 0, true, nil
+		}
+		switch op {
+		case token.PLUS:
+			return ai + bi, false, nil
+		case token.MINUS:
+			return ai - bi, false, nil
+		case token.STAR:
+			return ai * bi, false, nil
+		case token.DIV, token.MOD:
+			if bi == 0 {
+				return 0, false, rte(pos, "division by zero")
+			}
+			if op == token.DIV {
+				return ai / bi, false, nil
+			}
+			m := ai % bi
+			if m < 0 {
+				m += abs64(bi)
+			}
+			return m, false, nil
+		case token.EQ:
+			return b2i(ai == bi), false, nil
+		case token.NEQ:
+			return b2i(ai != bi), false, nil
+		case token.LT:
+			return b2i(ai < bi), false, nil
+		case token.LEQ:
+			return b2i(ai <= bi), false, nil
+		case token.GT:
+			return b2i(ai > bi), false, nil
+		case token.GEQ:
+			return b2i(ai >= bi), false, nil
+		}
+		return 0, false, rte(pos, "unsupported operator %s", op)
+	}
+}
+
+func abs64(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// scalarBuiltin compiles ord, chr, abs and odd.
+func (c *compiler) scalarBuiltin(x *ast.CallExpr, b sema.Builtin) scalarFn {
+	pos, arg := x.Pos(), c.scalar(x.Args[0])
+	return func(e *Exec) (int64, bool, error) {
+		i, undef, err := arg(e)
+		if err != nil || undef {
+			return 0, undef, err
+		}
+		switch b {
+		case sema.BuiltinOrd:
+			return i, false, nil
+		case sema.BuiltinChr:
+			if i < 0 || i > 255 {
+				return 0, false, rte(pos, "chr argument %d out of range", i)
+			}
+			return i, false, nil
+		case sema.BuiltinAbs:
+			return abs64(i), false, nil
+		case sema.BuiltinOdd:
+			return b2i(i%2 != 0), false, nil
+		}
+		return 0, false, rte(pos, "unsupported builtin")
+	}
+}
+
+// expr compiles x into a closure that builds its Value.
+func (c *compiler) expr(x ast.Expr) exprFn {
+	pos := x.Pos()
+	switch x := x.(type) {
+	case *ast.Ident:
+		switch sym := c.info.Uses[x].(type) {
+		case *sema.VarSym:
+			// A read keeps the variable's run-time type, which succ/pred
+			// range-check against.
+			loc := c.varRef(sym, pos)
+			return func(e *Exec) (Value, error) {
+				lv, err := loc(e)
+				if err != nil {
+					return Value{}, err
+				}
+				return *lv, nil
+			}
 		case *sema.FuncSym:
 			return c.call(sym, nil, pos)
-		default:
-			return failExpr(pos, "unresolved identifier %s", x.Name)
 		}
-	case *ast.UnaryExpr:
-		return c.unary(x)
 	case *ast.BinaryExpr:
-		return c.binary(x)
+		if c.valueOp(x) {
+			return c.binary(x)
+		}
 	case *ast.IndexExpr:
 		base, index, t := c.expr(x.X), c.index(x), c.info.Types[x]
 		return func(e *Exec) (Value, error) {
@@ -1021,75 +1305,40 @@ func (c *compiler) expr(x ast.Expr) exprFn {
 		// Read-only dereference: Load avoids the copy-on-write unsharing
 		// that the assignable path (lvalue) performs via Heap.Get, so pure
 		// reads never force a cell copy after a snapshot.
-		ptr := c.expr(x.X)
+		ptr := c.scalar(x.X)
 		return func(e *Exec) (Value, error) {
-			pv, err := ptr(e)
+			p, undef, err := ptr(e)
 			if err != nil {
 				return Value{}, err
 			}
-			if pv.Undef {
+			if undef {
 				return Value{}, rte(pos, "dereference of undefined pointer")
 			}
-			cv, err := e.state.Heap.Load(pv.I)
+			cv, err := e.state.Heap.Load(p)
 			if err != nil {
 				return Value{}, rte(pos, "%v", err)
 			}
 			return *cv, nil
 		}
 	case *ast.CallExpr:
-		if b, ok := c.info.Builtins[x]; ok {
-			return c.builtin(x, b)
-		}
-		fs := c.info.Calls[x]
-		if fs == nil {
+		b, ok := c.info.Builtins[x]
+		switch {
+		case !ok && c.info.Calls[x] == nil:
 			return failExpr(pos, "unresolved function %s", x.Name)
+		case !ok:
+			return c.call(c.info.Calls[x], x.Args, pos)
+		case b == sema.BuiltinSucc || b == sema.BuiltinPred:
+			return c.succPred(x, b)
 		}
-		return c.call(fs, x.Args, pos)
 	case *ast.SetLit:
 		return c.setLit(x)
-	default:
-		return failExpr(pos, "unsupported expression")
 	}
-}
-
-// load compiles a read of variable vs.
-func (c *compiler) load(vs *sema.VarSym, pos token.Pos) exprFn {
-	slot := vs.Slot
-	switch vs.Kind {
-	case sema.GlobalVar:
-		return func(e *Exec) (Value, error) { return e.state.Globals[slot], nil }
-	case sema.LocalVar, sema.ResultVar:
-		return func(e *Exec) (Value, error) { return e.cur.slots[slot], nil }
-	case sema.RefParam:
-		return func(e *Exec) (Value, error) { return *e.cur.refs[slot], nil }
-	case sema.InterParamVar:
-		return func(e *Exec) (Value, error) {
-			if slot >= len(e.interParams) {
-				return Value{}, rte(pos, "interaction parameter %s not bound", vs.Name)
-			}
-			return e.interParams[slot], nil
-		}
-	default:
-		return failExpr(pos, "cannot locate variable %s", vs.Name)
-	}
-}
-
-func (c *compiler) unary(x *ast.UnaryExpr) exprFn {
-	operand, op := c.expr(x.X), x.Op
+	// Everything else has only its scalar form; its Value carries the
+	// expression's checked type.
+	f, t := c.scalar(x), c.info.Types[x]
 	return func(e *Exec) (Value, error) {
-		v, err := operand(e)
-		if err != nil {
-			return Value{}, err
-		}
-		switch {
-		case v.Undef:
-			return UndefValue(v.T), nil
-		case op == token.NOT:
-			return MakeBool(!v.Bool()), nil
-		case op == token.MINUS:
-			return MakeInt(-v.I), nil
-		}
-		return MakeInt(v.I), nil
+		i, undef, err := f(e)
+		return Value{T: t, I: i, Undef: undef}, err
 	}
 }
 
@@ -1101,34 +1350,34 @@ func (c *compiler) setLit(x *ast.SetLit) exprFn {
 	// Canonical representation: elements must be non-negative ordinals below
 	// the set-universe bound.
 	const setLimit = 4096
-	type elem struct{ lo, hi exprFn }
+	type elem struct{ lo, hi scalarFn }
 	elems := make([]elem, len(x.Elems))
 	for i, se := range x.Elems {
-		elems[i].lo = c.expr(se.Lo)
+		elems[i].lo = c.scalar(se.Lo)
 		if se.Hi != nil {
-			elems[i].hi = c.expr(se.Hi)
+			elems[i].hi = c.scalar(se.Hi)
 		}
 	}
 	return func(e *Exec) (Value, error) {
 		v := Value{T: t}
 		for _, se := range elems {
-			lo, err := se.lo(e)
+			lo, lu, err := se.lo(e)
 			if err != nil {
 				return Value{}, err
 			}
-			hi := lo
+			hi, hu := lo, lu
 			if se.hi != nil {
-				if hi, err = se.hi(e); err != nil {
+				if hi, hu, err = se.hi(e); err != nil {
 					return Value{}, err
 				}
 			}
-			if lo.Undef || hi.Undef {
+			if lu || hu {
 				return UndefValue(t), nil
 			}
-			if lo.I < 0 || hi.I >= setLimit {
+			if lo < 0 || hi >= setLimit {
 				return Value{}, rte(pos, "set element out of range 0..%d", setLimit-1)
 			}
-			for i := lo.I; i <= hi.I; i++ {
+			for i := lo; i <= hi; i++ {
 				v.setAdd(i, setLimit)
 			}
 		}
@@ -1136,40 +1385,30 @@ func (c *compiler) setLit(x *ast.SetLit) exprFn {
 	}
 }
 
+// binary compiles the operators without a scalar form: `in`, set + - *,
+// and structured = and <>.
 func (c *compiler) binary(x *ast.BinaryExpr) exprFn {
-	a, b, op, pos := c.expr(x.X), c.expr(x.Y), x.Op, x.Pos()
-	if op == token.AND || op == token.OR {
-		// Kleene logic, left operand first: `defined-false and undefined`
-		// is a defined false.
-		and := op == token.AND
+	op := x.Op
+	if op == token.IN {
+		elem, set := c.scalar(x.X), c.expr(x.Y)
 		return func(e *Exec) (Value, error) {
-			av, err := a(e)
+			i, undef, err := elem(e)
 			if err != nil {
 				return Value{}, err
 			}
-			if !av.Undef && av.Bool() != and {
-				return MakeBool(!and), nil
-			}
-			bv, err := b(e)
+			s, err := set(e)
 			if err != nil {
 				return Value{}, err
 			}
-			if !bv.Undef && bv.Bool() != and {
-				return MakeBool(!and), nil
-			}
-			if av.Undef || bv.Undef {
+			if undef || s.Undef {
 				return UndefValue(types.Bool), nil
 			}
-			return MakeBool(and), nil
+			return MakeBool(s.setHas(i)), nil
 		}
 	}
-	resT := c.info.Types[x]
+	a, b, resT := c.expr(x.X), c.expr(x.Y), c.info.Types[x]
 	if resT == nil {
 		resT = types.Bool
-	}
-	sets := false
-	if xt := c.info.Types[x.X]; xt != nil && xt.Root().Kind == types.Set {
-		sets = op == token.PLUS || op == token.MINUS || op == token.STAR
 	}
 	return func(e *Exec) (Value, error) {
 		av, err := a(e)
@@ -1180,61 +1419,16 @@ func (c *compiler) binary(x *ast.BinaryExpr) exprFn {
 		if err != nil {
 			return Value{}, err
 		}
-		if av.Undef || bv.Undef {
+		switch {
+		case av.Undef || bv.Undef:
 			return UndefValue(resT), nil
+		case op == token.EQ:
+			return MakeBool(Equal(av, bv)), nil
+		case op == token.NEQ:
+			return MakeBool(!Equal(av, bv)), nil
 		}
-		if sets {
-			return setOp(op, &av, &bv), nil
-		}
-		return binop(op, &av, &bv, pos)
+		return setOp(op, &av, &bv), nil
 	}
-}
-
-// binop applies a non-set binary operator to two defined operands.
-func binop(op token.Kind, a, b *Value, pos token.Pos) (Value, error) {
-	switch op {
-	case token.PLUS:
-		return MakeInt(a.I + b.I), nil
-	case token.MINUS:
-		return MakeInt(a.I - b.I), nil
-	case token.STAR:
-		return MakeInt(a.I * b.I), nil
-	case token.DIV, token.MOD:
-		if b.I == 0 {
-			return Value{}, rte(pos, "division by zero")
-		}
-		if op == token.DIV {
-			return MakeInt(a.I / b.I), nil
-		}
-		m := a.I % b.I
-		if m < 0 {
-			m += abs64(b.I)
-		}
-		return MakeInt(m), nil
-	case token.EQ:
-		return MakeBool(Equal(*a, *b)), nil
-	case token.NEQ:
-		return MakeBool(!Equal(*a, *b)), nil
-	case token.LT:
-		return MakeBool(a.I < b.I), nil
-	case token.LEQ:
-		return MakeBool(a.I <= b.I), nil
-	case token.GT:
-		return MakeBool(a.I > b.I), nil
-	case token.GEQ:
-		return MakeBool(a.I >= b.I), nil
-	case token.IN:
-		return MakeBool(b.setHas(a.I)), nil
-	default:
-		return Value{}, rte(pos, "unsupported operator %s", op)
-	}
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func setOp(op token.Kind, a, b *Value) Value {
@@ -1259,7 +1453,9 @@ func setOp(op token.Kind, a, b *Value) Value {
 	return out
 }
 
-func (c *compiler) builtin(x *ast.CallExpr, b sema.Builtin) exprFn {
+// succPred compiles succ and pred, which range-check against the run-time
+// type of their operand's Value.
+func (c *compiler) succPred(x *ast.CallExpr, b sema.Builtin) exprFn {
 	pos, arg, t := x.Pos(), c.expr(x.Args[0]), c.info.Types[x]
 	if t == nil {
 		t = types.Int
@@ -1272,30 +1468,14 @@ func (c *compiler) builtin(x *ast.CallExpr, b sema.Builtin) exprFn {
 		if v.Undef {
 			return UndefValue(t), nil
 		}
-		switch b {
-		case sema.BuiltinOrd:
-			return MakeInt(v.I), nil
-		case sema.BuiltinChr:
-			if v.I < 0 || v.I > 255 {
-				return Value{}, rte(pos, "chr argument %d out of range", v.I)
-			}
-			return MakeOrdinal(types.Chr, v.I), nil
-		case sema.BuiltinSucc, sema.BuiltinPred:
-			n := v.I + 1
-			if b == sema.BuiltinPred {
-				n = v.I - 1
-			}
-			if lo, hi := v.T.OrdinalRange(); n < lo || n > hi {
-				return Value{}, rte(pos, "succ/pred result %d out of range %d..%d", n, lo, hi)
-			}
-			return MakeOrdinal(v.T, n), nil
-		case sema.BuiltinAbs:
-			return MakeInt(abs64(v.I)), nil
-		case sema.BuiltinOdd:
-			return MakeBool(v.I%2 != 0), nil
-		default:
-			return Value{}, rte(pos, "unsupported builtin")
+		n := v.I + 1
+		if b == sema.BuiltinPred {
+			n = v.I - 1
 		}
+		if lo, hi := v.T.OrdinalRange(); n < lo || n > hi {
+			return Value{}, rte(pos, "succ/pred result %d out of range %d..%d", n, lo, hi)
+		}
+		return MakeOrdinal(v.T, n), nil
 	}
 }
 
@@ -1311,16 +1491,14 @@ func (c *compiler) call(fs *sema.FuncSym, args []ast.Expr, pos token.Pos) exprFn
 		slot int
 		ref  lvalFn
 		val  exprFn
-		t    *types.Type
-		pos  token.Pos
 	}
 	params := make([]param, len(fs.Params))
 	for i, p := range fs.Params {
-		params[i] = param{slot: p.Slot, t: p.Type, pos: args[i].Pos()}
+		params[i].slot = p.Slot
 		if p.Kind == sema.RefParam {
 			params[i].ref = c.lvalue(args[i])
 		} else {
-			params[i].val = c.expr(args[i])
+			params[i].val = c.arg(p.Type, args[i])
 		}
 	}
 	fc, name, locals, result, rslot, nslots := c.funcs[fs.Index], fs.Name, fs.Locals, fs.Result, fs.ResultSlot, fs.NumSlots
@@ -1340,14 +1518,11 @@ func (c *compiler) call(fs *sema.FuncSym, args []ast.Expr, pos token.Pos) exprFn
 				continue
 			}
 			v, err := p.val(e)
-			if err == nil {
-				v, err = coerce(p.t, v, p.pos)
-			}
 			if err != nil {
 				e.nres--
 				return Value{}, err
 			}
-			fr.slots[p.slot] = v.Copy()
+			fr.slots[p.slot] = v
 		}
 		for _, l := range locals {
 			fr.slots[l.Slot] = Zero(l.Type, e.Partial)

@@ -99,9 +99,6 @@ func (v Value) Copy() Value {
 	return out
 }
 
-// Bool reports the truth of a defined boolean value.
-func (v Value) Bool() bool { return v.I != 0 }
-
 // IsNil reports whether a pointer value is nil.
 func (v Value) IsNil() bool { return v.I == 0 }
 
