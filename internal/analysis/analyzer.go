@@ -791,6 +791,9 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 				a.savePG(n, &pgSaved)
 			} else {
 				a.memoizeDead(n)
+				if !a.dynamic {
+					releaseNode(n)
+				}
 			}
 			if n.truncated && n.parent != nil {
 				// A cut-off subtree does not prove the parent dead either.
@@ -925,6 +928,22 @@ func (a *Analyzer) savePG(n *node, pgSaved *[]*node) {
 	}
 	a.stats.PGNodes++
 	*pgSaved = append(*pgSaved, n)
+}
+
+// releaseNode hands a popped node's states back to the vm pool: its saved
+// snapshot, and its live state unless the parent shares that state in place.
+// An in-place chain shares one *vm.State and the topmost node holding it owns
+// it; its descendants were popped before it. The fields are cleared, so
+// captureCheckpoint, which walks up the best path to the nearest node still
+// holding a state, never serializes a recycled container; diagnoses read the
+// FSM captured when the best node advanced. Only static runs release: an
+// on-line (MDFS) node can be parked as a PG-node, revived and popped again.
+func releaseNode(n *node) {
+	vm.ReleaseState(n.saved)
+	if n.parent == nil || n.parent.live != n.live {
+		vm.ReleaseState(n.live)
+	}
+	n.saved, n.live = nil, nil
 }
 
 // memoizeDead records a popped node as proven non-accepting, when that is
@@ -1341,11 +1360,13 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 			switch status {
 			case matchFail:
 				a.notePrune(n.depth+1, c.ti.Name, "mismatch")
+				vm.ReleaseState(r.State) // forked states are exclusively ours
 				continue
 			case matchBlocked:
 				a.notePrune(n.depth+1, c.ti.Name, "blocked")
 				n.pg = true
 				n.deferred = append(n.deferred, c)
+				vm.ReleaseState(r.State)
 				continue
 			}
 			n.seeds = append(n.seeds, seed{state: r.State, via: via, inCur: inCur, outCur: outCur, synth: synth})

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/efsm"
+	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/specs"
 )
 
@@ -245,4 +248,78 @@ func writeTruncatedCopy(src, dst string) error {
 		return err
 	}
 	return os.WriteFile(dst, b[:len(b)-4], 0o644)
+}
+
+// TestCheckpointsAfterReleasesResume captures checkpoints throughout deep
+// invalid TP0 searches (k=3 and k=4, bulk and full-buffer, NR+memo). These
+// searches pop thousands of nodes, so most captures happen while the best
+// node has already been popped and its states handed back to the vm pool;
+// the capture must then walk up to an ancestor that still holds a state.
+// Every distinct checkpoint must pass the full-path replay's fingerprint and
+// codec cross-check on a fresh analyzer (tryResume's trusted flag; the
+// resumed flag of ResumeTrace is false on an invalid trace by design, since a
+// refuted subtree proves nothing above the restored node), and resuming from
+// it must give the uninterrupted run's verdict and diagnosis.
+func TestCheckpointsAfterReleasesResume(t *testing.T) {
+	spec := compile(t, "tp0", specs.TP0)
+	ctx := context.Background()
+	opts := Options{Order: OrderNone, Memo: true}
+	for _, k := range []int{3, 4} {
+		for _, shape := range []struct {
+			name string
+			gen  func(*efsm.Spec, int, int64, bool) (*trace.Trace, error)
+		}{{"bulk", workload.TP0BulkTrace}, {"full", workload.TP0FullBufferTrace}} {
+			tr, err := shape.gen(spec, k, int64(k), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr, err = workload.CorruptLastData(tr); err != nil {
+				t.Fatal(err)
+			}
+			plain, err := mustAnalyzer(t, spec, opts).AnalyzeTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Verdict != Invalid {
+				t.Fatalf("%s k=%d: verdict = %v, want invalid", shape.name, k, plain.Verdict)
+			}
+			want := diagJSON(t, plain)
+
+			var cks []*CheckpointState
+			seen := make(map[string]bool)
+			copts := opts
+			copts.CheckpointEvery = time.Nanosecond
+			copts.OnCheckpoint = func(ck *CheckpointState) {
+				key := fmt.Sprintf("%v|%s|%x", ck.Steps, ck.Fingerprint, ck.VMState)
+				if !seen[key] {
+					seen[key] = true
+					cks = append(cks, ck)
+				}
+			}
+			res, err := mustAnalyzer(t, spec, copts).AnalyzeTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := diagJSON(t, res); got != want {
+				t.Fatalf("%s k=%d: checkpointing changed the result:\n got %s\nwant %s", shape.name, k, got, want)
+			}
+			if len(cks) == 0 {
+				t.Fatalf("%s k=%d: no checkpoint captured", shape.name, k)
+			}
+			for i, ck := range cks {
+				if _, _, trusted := mustAnalyzer(t, spec, opts).tryResume(ctx, tr, ck, len(ck.Steps)); !trusted {
+					t.Fatalf("%s k=%d checkpoint %d (%d steps): the replay's fingerprint or codec cross-check refused it",
+						shape.name, k, i, len(ck.Steps))
+				}
+				got, _, err := mustAnalyzer(t, spec, opts).ResumeTrace(ctx, tr, ck)
+				if err != nil {
+					t.Fatalf("%s k=%d checkpoint %d: %v", shape.name, k, i, err)
+				}
+				if g := diagJSON(t, got); g != want {
+					t.Fatalf("%s k=%d checkpoint %d: resumed result differs:\n got %s\nwant %s", shape.name, k, i, g, want)
+				}
+			}
+			t.Logf("%s k=%d: %d distinct checkpoints resumed", shape.name, k, len(cks))
+		}
+	}
 }

@@ -158,7 +158,9 @@ func ParseLine(line string, lineno int) (*Event, bool, error) {
 func Read(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
+	// No initial buffer: bufio starts small and doubles up to MaxLineBytes,
+	// so a short trace does not pay for a 64 KiB one.
+	sc.Buffer(nil, MaxLineBytes)
 	lineno := 0
 	for sc.Scan() {
 		lineno++

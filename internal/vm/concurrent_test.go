@@ -76,7 +76,7 @@ func TestDistinctExecsShareProgram(t *testing.T) {
 // channel (the happens-before edge), each goroutine executing, snapshotting,
 // and releasing its own states while all of them share one paranoid FPSet.
 // Under -race this hammers the atomic generation counter, the
-// immutable-while-shared cells maps, and the sharded FPSet at once.
+// immutable-while-shared cell slices, and the sharded FPSet at once.
 func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 	spec, err := efsm.Compile("echo", specs.Echo)
 	if err != nil {

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,20 @@ func randValue(r *rand.Rand, depth int) Value {
 	}
 }
 
+// putCell stores v at addr as a cell h owns, replacing any cell already
+// there, and keeps the heap invariant Alloc maintains: cells in address
+// order, every address below next.
+func putCell(h *Heap, addr int64, v Value) {
+	h.ensureOwned()
+	c := &cell{v: v, gen: h.gen}
+	if i, ok := h.find(addr); ok {
+		h.cells[i].c = c
+	} else {
+		h.cells = slices.Insert(h.cells, i, heapEntry{addr, c})
+	}
+	h.next = max(h.next, addr+1)
+}
+
 func randState(r *rand.Rand) *State {
 	st := &State{FSM: r.Intn(6), Heap: NewHeap(), Globals: make([]Value, 1+r.Intn(5))}
 	for i := range st.Globals {
@@ -46,7 +61,7 @@ func randState(r *rand.Rand) *State {
 	}
 	for n := r.Intn(6); n > 0; n-- {
 		addr := int64(1 + r.Intn(40))
-		st.Heap.cells[addr] = &cell{v: randValue(r, 2), gen: st.Heap.gen}
+		putCell(st.Heap, addr, randValue(r, 2))
 	}
 	return st
 }
@@ -99,7 +114,7 @@ func TestStateHashHeapOrderIndependent(t *testing.T) {
 	mk := func(perm []int) *State {
 		st := &State{FSM: 1, Heap: NewHeap(), Globals: []Value{{I: 7}}}
 		for _, i := range perm {
-			st.Heap.cells[int64(i+1)] = &cell{v: Value{I: int64(i * 11)}, gen: st.Heap.gen}
+			putCell(st.Heap, int64(i+1), Value{I: int64(i * 11)})
 		}
 		return st
 	}
@@ -163,7 +178,7 @@ func TestApproxBytesComposite(t *testing.T) {
 
 	// Heap cells count too.
 	withCell := &State{Heap: NewHeap(), Globals: []Value{{I: 1}}}
-	withCell.Heap.cells[1] = &cell{v: Value{Words: []uint64{1, 2}}, gen: withCell.Heap.gen}
+	putCell(withCell.Heap, 1, Value{Words: []uint64{1, 2}})
 	if got := withCell.ApproxBytes() - fb; got != 64+16 {
 		t.Fatalf("heap cell contribution = %d, want %d", got, 64+16)
 	}
@@ -174,7 +189,7 @@ func TestApproxBytesComposite(t *testing.T) {
 // even though cells are shared until first write.
 func TestSnapshotCopyOnWrite(t *testing.T) {
 	st := &State{Heap: NewHeap(), Globals: []Value{{I: 1}}}
-	st.Heap.cells[7] = &cell{v: Value{I: 100}, gen: st.Heap.gen}
+	putCell(st.Heap, 7, Value{I: 100})
 
 	snap := st.Snapshot()
 	// Write through the original: the snapshot must keep the old payload.
@@ -206,8 +221,9 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	}
 
 	// Alloc/Dispose on the snapshot must not disturb the original's cell set.
-	snap.Heap.ensureOwnedMap()
-	delete(snap.Heap.cells, 7)
+	if err := snap.Heap.Dispose(7); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := st.Heap.Load(7); err != nil {
 		t.Fatalf("original lost cell 7 after snapshot dispose: %v", err)
 	}

@@ -2,7 +2,7 @@ package vm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -18,16 +18,28 @@ type cell struct {
 	gen uint64
 }
 
+// heapEntry is one live cell of a Heap, keyed by its address.
+type heapEntry struct {
+	addr int64
+	c    *cell
+}
+
 // Heap models Estelle dynamic memory (new/dispose). Addresses are opaque
 // positive integers; 0 is nil. The heap supports snapshot/restore, which is
 // what makes backtracking over transitions that allocate memory possible
 // (§3.2.2 of the paper discusses the cost of exactly this operation).
 //
-// Snapshot is O(1): it shares the cell map between the two heaps and bumps a
-// family-wide generation counter so that neither side owns any existing cell.
-// The first write on either side lazily clones the map container
-// (ensureOwnedMap) and copies just the written cell, so branches that never
-// touch dynamic memory pay nothing for it.
+// The live cells sit in a slice sorted by address. next only grows (across
+// Snapshot and DecodeState too), so every live address is below next and
+// Alloc appends; Get, Load and Dispose find a cell by binary search, and
+// Fingerprint and EncodeState walk the slice in order without sorting.
+//
+// Snapshot is O(1): it shares the cell slice between the two heaps and bumps
+// a family-wide generation counter so that neither side owns any existing
+// cell. The first Alloc, Dispose or cell copy on either side copies the
+// slice of (address, cell pointer) pairs (ensureOwned) and, for Get, just
+// the written cell, so branches that never touch dynamic memory pay nothing
+// for it.
 //
 // Concurrency contract: each Heap (and the State wrapping it) is owned by
 // exactly one goroutine at a time — Snapshot and the write paths mutate the
@@ -38,9 +50,10 @@ type cell struct {
 // work-stealing deque). Family-wide safety rests on three invariants:
 //
 //  1. the generation counter shared by the family is atomic;
-//  2. a cells map referenced by more than one heap is never written — both
-//     sides of a Snapshot carry mapShared=true and clone before their first
-//     write, so mapShared=false implies exclusive map ownership;
+//  2. a cell slice referenced by more than one heap is never written — both
+//     sides of a Snapshot carry shared=true and copy it before their first
+//     write, so shared=false implies exclusive ownership of the slice and of
+//     its spare capacity;
 //  3. a cell payload is mutated in place only when cell.gen == heap.gen,
 //     which holds only for cells created or COW-copied by this heap after
 //     its last Snapshot — such cells are reachable from this heap alone.
@@ -48,45 +61,61 @@ type cell struct {
 // The -race tests in this package exercise exactly this cross-goroutine
 // sharing. The parallel search in internal/analysis relies on it.
 type Heap struct {
-	cells map[int64]*cell
-	next  int64
+	cells []heapEntry // live cells, in increasing address order
+	next  int64       // the next address Alloc hands out; above every live address
 
 	// Allocs and Disposes count lifetime operations, for statistics.
 	Allocs, Disposes int64
 
-	gen       uint64         // ownership generation: cells with this gen are exclusively ours
-	genCtr    *atomic.Uint64 // generation counter shared across the snapshot family
-	mapShared bool           // the cells map may be aliased by other heaps in the family
+	gen    uint64         // ownership generation: cells with this gen are exclusively ours
+	genCtr *atomic.Uint64 // generation counter shared across the snapshot family
+	shared bool           // the cells slice may be aliased by other heaps in the family
 }
 
 // NewHeap returns an empty heap rooting a fresh snapshot family.
 func NewHeap() *Heap {
 	ctr := new(atomic.Uint64)
 	ctr.Store(1)
-	return &Heap{cells: make(map[int64]*cell), next: 1, gen: 1, genCtr: ctr}
+	return &Heap{next: 1, gen: 1, genCtr: ctr}
 }
 
-// ensureOwnedMap makes the cells map exclusively ours, cloning the container
-// (pointers only, not payloads) if a snapshot may still alias it.
-func (h *Heap) ensureOwnedMap() {
-	if !h.mapShared {
+// ensureOwned makes the cells slice exclusively ours, copying the pairs
+// (pointers only, not payloads) if a snapshot may still alias them. The
+// copy leaves room for one Alloc.
+func (h *Heap) ensureOwned() {
+	if !h.shared {
 		return
 	}
-	m := newCellMap(len(h.cells))
-	for a, c := range h.cells {
-		m[a] = c
+	cells := make([]heapEntry, len(h.cells), len(h.cells)+1)
+	copy(cells, h.cells)
+	h.cells = cells
+	h.shared = false
+}
+
+// find returns the index of addr in h.cells, or the index where it would be
+// inserted, and whether it is present. It is written out rather than
+// calling slices.BinarySearchFunc, whose comparison closure costs an
+// indirect call per probe; every pointer dereference goes through here.
+func (h *Heap) find(addr int64) (int, bool) {
+	lo, hi := 0, len(h.cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.cells[m].addr < addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	h.cells = m
-	h.mapShared = false
+	return lo, lo < len(h.cells) && h.cells[lo].addr == addr
 }
 
 // Alloc allocates a cell of type t and returns its address. With undef set
 // the new cell's scalars start undefined (partial-trace mode).
 func (h *Heap) Alloc(t *types.Type, undef bool) int64 {
-	h.ensureOwnedMap()
+	h.ensureOwned()
 	addr := h.next
 	h.next++
-	h.cells[addr] = &cell{v: Zero(t, undef), gen: h.gen}
+	h.cells = append(h.cells, heapEntry{addr, &cell{v: Zero(t, undef), gen: h.gen}})
 	h.Allocs++
 	return addr
 }
@@ -94,14 +123,15 @@ func (h *Heap) Alloc(t *types.Type, undef bool) int64 {
 // Get returns the cell at addr for writing, copying it first if a snapshot
 // may still share it. Use Load for read-only access.
 func (h *Heap) Get(addr int64) (*Value, error) {
-	c, err := h.lookup(addr)
+	i, err := h.lookup(addr)
 	if err != nil {
 		return nil, err
 	}
+	c := h.cells[i].c
 	if c.gen != h.gen {
-		h.ensureOwnedMap()
+		h.ensureOwned()
 		c = &cell{v: c.v.Copy(), gen: h.gen}
-		h.cells[addr] = c
+		h.cells[i].c = c
 	}
 	return &c.v, nil
 }
@@ -109,22 +139,22 @@ func (h *Heap) Get(addr int64) (*Value, error) {
 // Load returns the cell at addr for reading only. The returned value must
 // not be mutated through: it may be shared with snapshots of this heap.
 func (h *Heap) Load(addr int64) (*Value, error) {
-	c, err := h.lookup(addr)
+	i, err := h.lookup(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &c.v, nil
+	return &h.cells[i].c.v, nil
 }
 
-func (h *Heap) lookup(addr int64) (*cell, error) {
+func (h *Heap) lookup(addr int64) (int, error) {
 	if addr == 0 {
-		return nil, fmt.Errorf("nil pointer dereference")
+		return 0, fmt.Errorf("nil pointer dereference")
 	}
-	c, ok := h.cells[addr]
+	i, ok := h.find(addr)
 	if !ok {
-		return nil, fmt.Errorf("dangling pointer dereference (address %d)", addr)
+		return 0, fmt.Errorf("dangling pointer dereference (address %d)", addr)
 	}
-	return c, nil
+	return i, nil
 }
 
 // Dispose frees the cell at addr.
@@ -132,11 +162,12 @@ func (h *Heap) Dispose(addr int64) error {
 	if addr == 0 {
 		return fmt.Errorf("dispose of nil pointer")
 	}
-	if _, ok := h.cells[addr]; !ok {
+	i, ok := h.find(addr)
+	if !ok {
 		return fmt.Errorf("dispose of unallocated address %d", addr)
 	}
-	h.ensureOwnedMap()
-	delete(h.cells, addr)
+	h.ensureOwned()
+	h.cells = slices.Delete(h.cells, i, i+1) // shifts in place, clears the vacated slot
 	h.Disposes++
 	return nil
 }
@@ -145,11 +176,11 @@ func (h *Heap) Dispose(addr int64) error {
 func (h *Heap) Len() int { return len(h.cells) }
 
 // Snapshot returns a logically independent copy of the heap in O(1): the
-// cell map is shared and both heaps give up ownership of every existing cell
-// by taking fresh generations, so the first write on either side copies just
-// the cell it touches. Allocation counters carry over so that addresses
-// allocated after a restore do not collide with addresses that may still be
-// referenced by other saved states.
+// cell slice is shared and both heaps give up ownership of every existing
+// cell by taking fresh generations, so the first write on either side copies
+// just the slice of pairs and the cell it touches. Allocation counters carry
+// over so that addresses allocated after a restore do not collide with
+// addresses that may still be referenced by other saved states.
 func (h *Heap) Snapshot() *Heap {
 	// One atomic bump hands out two fresh generations, one per side; the
 	// counter is the only family-wide mutable datum, so snapshots of
@@ -159,15 +190,15 @@ func (h *Heap) Snapshot() *Heap {
 	h.gen = g - 1
 	out := allocHeap()
 	*out = Heap{
-		cells:     h.cells,
-		next:      h.next,
-		Allocs:    h.Allocs,
-		Disposes:  h.Disposes,
-		gen:       g,
-		genCtr:    h.genCtr,
-		mapShared: true,
+		cells:    h.cells,
+		next:     h.next,
+		Allocs:   h.Allocs,
+		Disposes: h.Disposes,
+		gen:      g,
+		genCtr:   h.genCtr,
+		shared:   true,
 	}
-	h.mapShared = true
+	h.shared = true
 	return out
 }
 
@@ -177,14 +208,9 @@ func (h *Heap) Snapshot() *Heap {
 // of the same search produce equal fingerprints whenever their allocation
 // histories coincide.
 func (h *Heap) Fingerprint(sb *strings.Builder) {
-	addrs := make([]int64, 0, len(h.cells))
-	for a := range h.cells {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fmt.Fprintf(sb, "@%d", a)
-		h.cells[a].v.Fingerprint(sb)
+	for _, e := range h.cells {
+		fmt.Fprintf(sb, "@%d", e.addr)
+		e.c.v.Fingerprint(sb)
 	}
 }
 
@@ -236,8 +262,8 @@ func (s *State) ApproxBytes() int64 {
 	for i := range s.Globals {
 		total += s.Globals[i].approxBytes()
 	}
-	for _, c := range s.Heap.cells {
-		total += c.v.approxBytes()
+	for _, e := range s.Heap.cells {
+		total += e.c.v.approxBytes()
 	}
 	return total
 }

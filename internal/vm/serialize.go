@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"repro/internal/estelle/sema"
@@ -204,15 +205,10 @@ func EncodeState(s *State, tt *TypeTable) ([]byte, error) {
 	e.uvarint(uint64(h.next))
 	e.uvarint(uint64(h.Allocs))
 	e.uvarint(uint64(h.Disposes))
-	addrs := make([]int64, 0, len(h.cells))
-	for a := range h.cells {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.uvarint(uint64(len(addrs)))
-	for _, a := range addrs {
-		e.uvarint(uint64(a))
-		if err := e.value(&h.cells[a].v); err != nil {
+	e.uvarint(uint64(len(h.cells)))
+	for _, c := range h.cells {
+		e.uvarint(uint64(c.addr))
+		if err := e.value(&c.c.v); err != nil {
 			return nil, err
 		}
 	}
@@ -248,6 +244,20 @@ func (d *stateDec) varint() (int64, error) {
 // maxDecodeElems bounds aggregate lengths against corrupt inputs.
 const maxDecodeElems = 1 << 24
 
+// count reads the length of an aggregate of what. Every element takes at
+// least one byte, so a length beyond the remaining input is corrupt; it is
+// refused before anything is allocated for it.
+func (d *stateDec) count(what string) (uint64, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > maxDecodeElems || n > uint64(len(d.buf)) {
+		return 0, fmt.Errorf("%w: %d %s", ErrBadStateEncoding, n, what)
+	}
+	return n, nil
+}
+
 func (d *stateDec) value(v *Value) error {
 	idx, err := d.uvarint()
 	if err != nil {
@@ -267,12 +277,9 @@ func (d *stateDec) value(v *Value) error {
 		return err
 	}
 	if flags&2 != 0 {
-		n, err := d.uvarint()
+		n, err := d.count("elements")
 		if err != nil {
 			return err
-		}
-		if n > maxDecodeElems {
-			return fmt.Errorf("%w: %d elements", ErrBadStateEncoding, n)
 		}
 		v.Elems = make([]Value, n)
 		for i := range v.Elems {
@@ -282,12 +289,9 @@ func (d *stateDec) value(v *Value) error {
 		}
 	}
 	if flags&4 != 0 {
-		n, err := d.uvarint()
+		n, err := d.count("set words")
 		if err != nil {
 			return err
-		}
-		if n > maxDecodeElems {
-			return fmt.Errorf("%w: %d set words", ErrBadStateEncoding, n)
 		}
 		v.Words = make([]uint64, n)
 		for i := range v.Words {
@@ -322,12 +326,9 @@ func DecodeState(b []byte, tt *TypeTable) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	ng, err := d.uvarint()
+	ng, err := d.count("globals")
 	if err != nil {
 		return nil, err
-	}
-	if ng > maxDecodeElems {
-		return nil, fmt.Errorf("%w: %d globals", ErrBadStateEncoding, ng)
 	}
 	s := &State{FSM: int(fsm), Globals: make([]Value, ng), Heap: NewHeap()}
 	for i := range s.Globals {
@@ -347,27 +348,35 @@ func DecodeState(b []byte, tt *TypeTable) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	if next == 0 || next > math.MaxInt64 {
+		return nil, fmt.Errorf("%w: next heap address %d", ErrBadStateEncoding, next)
+	}
 	s.Heap.next = int64(next)
 	s.Heap.Allocs = int64(allocs)
 	s.Heap.Disposes = int64(disposes)
-	nc, err := d.uvarint()
+	nc, err := d.count("heap cells")
 	if err != nil {
 		return nil, err
 	}
-	if nc > maxDecodeElems {
-		return nil, fmt.Errorf("%w: %d heap cells", ErrBadStateEncoding, nc)
-	}
+	s.Heap.cells = make([]heapEntry, 0, nc)
+	prev := uint64(0)
 	for i := uint64(0); i < nc; i++ {
 		addr, err := d.uvarint()
 		if err != nil {
 			return nil, err
 		}
+		// The heap invariant: addresses are positive, strictly increasing
+		// and below next, so a later Alloc never reuses a live address.
+		if addr <= prev || addr >= next {
+			return nil, fmt.Errorf("%w: heap address %d after %d (next %d)", ErrBadStateEncoding, addr, prev, next)
+		}
+		prev = addr
 		var v Value
 		if err := d.value(&v); err != nil {
 			return nil, err
 		}
-		// The fresh heap owns its map and every decoded cell outright.
-		s.Heap.cells[int64(addr)] = &cell{v: v, gen: s.Heap.gen}
+		// The fresh heap owns its slice and every decoded cell outright.
+		s.Heap.cells = append(s.Heap.cells, heapEntry{int64(addr), &cell{v: v, gen: s.Heap.gen}})
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadStateEncoding, len(d.buf))

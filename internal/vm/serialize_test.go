@@ -2,10 +2,12 @@ package vm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/estelle/parser"
 	"repro/internal/estelle/sema"
+	"repro/internal/estelle/types"
 )
 
 // compileSpec parses and checks a full specification source.
@@ -145,6 +147,9 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 		"truncated": good[:len(good)/2],
 		"trailing":  append(append([]byte{}, good...), 0x01),
 	}
+	for name, b := range badHeapEncodings(t, st, tt) {
+		cases[name] = b
+	}
 	for name, b := range cases {
 		if _, err := DecodeState(b, tt); !errors.Is(err, ErrBadStateEncoding) {
 			t.Errorf("%s: err = %v, want ErrBadStateEncoding", name, err)
@@ -169,6 +174,32 @@ end.`)
 	}
 }
 
+// badHeapEncodings encodes st with its heap bent out of shape in each way
+// DecodeState must refuse: a later Alloc could then overwrite a live cell,
+// or a lookup miss one. st must hold at least two heap cells.
+func badHeapEncodings(t testing.TB, st *State, tt *TypeTable) map[string][]byte {
+	t.Helper()
+	bend := map[string]func(h *Heap){
+		"duplicate address": func(h *Heap) { h.cells[1].addr = h.cells[0].addr },
+		"address 0":         func(h *Heap) { h.cells[0].addr = 0 },
+		"out of order":      func(h *Heap) { h.cells[0], h.cells[1] = h.cells[1], h.cells[0] },
+		"next too low":      func(h *Heap) { h.next = h.cells[len(h.cells)-1].addr },
+		"next 0":            func(h *Heap) { h.next = 0 },
+	}
+	out := make(map[string][]byte, len(bend))
+	for name, f := range bend {
+		h := *st.Heap
+		h.cells = slices.Clone(st.Heap.cells)
+		f(&h)
+		b, err := EncodeState(&State{FSM: st.FSM, Globals: st.Globals, Heap: &h}, tt)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		out[name] = b
+	}
+	return out
+}
+
 func FuzzDecodeState(f *testing.F) {
 	spec, err := parser.Parse("fuzz.estelle", richSpec)
 	if err != nil {
@@ -191,11 +222,37 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add([]byte{})
+	bad := badHeapEncodings(f, st, tt)
+	f.Add(bad["duplicate address"])
+	f.Add(bad["next too low"])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeState(b, tt)
-		if err == nil {
-			// Whatever decodes must at least fingerprint without panicking.
-			_ = s.Fingerprint()
+		if err != nil {
+			return
+		}
+		// decode → encode → decode is a fixpoint.
+		enc, err := EncodeState(s, tt)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := DecodeState(enc, tt)
+		if err != nil {
+			t.Fatalf("decode of the re-encoded state: %v", err)
+		}
+		if fp := s.Fingerprint(); again.Fingerprint() != fp {
+			t.Fatalf("fingerprint changed across re-encoding:\n got %q\nwant %q", again.Fingerprint(), fp)
+		}
+		// The heap invariant holds: every decoded cell is loadable, and a
+		// fresh Alloc gets an address no live cell has.
+		var addrs []int64
+		for _, e := range s.Heap.cells {
+			if _, err := s.Heap.Load(e.addr); err != nil {
+				t.Fatalf("decoded cell %d: %v", e.addr, err)
+			}
+			addrs = append(addrs, e.addr)
+		}
+		if a := s.Heap.Alloc(types.Int, false); slices.Contains(addrs, a) {
+			t.Fatalf("Alloc after decode reused live address %d", a)
 		}
 	})
 }
