@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,7 +26,8 @@ type Analyzer struct {
 	exec *vm.Exec
 
 	// Trace storage: events in arrival order, plus per-IP input/output lists
-	// holding indexes into events. Lists only grow (dynamic traces).
+	// holding indexes into events. Lists only grow (dynamic traces); reset
+	// truncates them, so a Session reuses their arrays from trace to trace.
 	events  []efsm.ResolvedEvent
 	inputs  [][]int
 	outputs [][]int
@@ -150,6 +152,8 @@ func New(spec *efsm.Spec, opts Options) (*Analyzer, error) {
 	nIPs := spec.NumIPs()
 	a.disabled = make([]bool, nIPs)
 	a.unobserved = make([]bool, nIPs)
+	a.inputs = make([][]int, nIPs)
+	a.outputs = make([][]int, nIPs)
 	for _, name := range opts.DisabledIPs {
 		id, ok := spec.IPByName(name)
 		if !ok {
@@ -212,10 +216,12 @@ func (a *Analyzer) reset(traceLen int) {
 	}
 	a.opts = a.opts.withDefaults(traceLen)
 	a.exec.Partial = a.opts.Partial
-	nIPs := a.spec.NumIPs()
+	// Entries past the new length would pin the last trace's value array.
+	clear(a.events[:cap(a.events)])
 	a.events = a.events[:0]
-	a.inputs = make([][]int, nIPs)
-	a.outputs = make([][]int, nIPs)
+	for p := range a.inputs {
+		a.inputs[p], a.outputs[p] = a.inputs[p][:0], a.outputs[p][:0]
+	}
 	a.eofSeen = false
 	a.stats = Stats{ParseTime: a.spec.Timing.Parse, CompileTime: a.spec.Timing.Check}
 	a.faults = nil
@@ -298,26 +304,34 @@ func (a *Analyzer) foldPruneStats() {
 	}
 }
 
-// ingest resolves and stores newly arrived trace events.
+// ingest resolves and stores newly arrived trace events: one ResolveEvents
+// call per batch, into a.events grown once (amortised, so an on-line run of
+// many small polls stays linear).
 func (a *Analyzer) ingest(events []trace.Event) error {
-	for _, ev := range events {
-		re, err := a.spec.ResolveEvent(ev)
-		if err != nil {
-			return err
-		}
+	start := len(a.events)
+	resolved, err := a.spec.ResolveEvents(slices.Grow(a.events, len(events)), events)
+	// Keep the resolved events in trace order, so an input at an unobserved
+	// IP is reported before a later event's resolution error.
+	kept := start
+	for _, re := range resolved[start:] {
 		if re.Dir == trace.Out && a.disabled[re.IP] {
 			continue // §2.4.3: outputs at disabled IPs are not checked
 		}
 		if re.Dir == trace.In && a.unobserved[re.IP] {
-			return fmt.Errorf("trace contains input at unobserved ip %s", a.spec.IPName(re.IP))
+			err = fmt.Errorf("trace contains input at unobserved ip %s", a.spec.IPName(re.IP))
+			break
 		}
-		idx := len(a.events)
-		a.events = append(a.events, re)
+		resolved[kept] = re
 		if re.Dir == trace.In {
-			a.inputs[re.IP] = append(a.inputs[re.IP], idx)
+			a.inputs[re.IP] = append(a.inputs[re.IP], kept)
 		} else {
-			a.outputs[re.IP] = append(a.outputs[re.IP], idx)
+			a.outputs[re.IP] = append(a.outputs[re.IP], kept)
 		}
+		kept++
+	}
+	a.events = resolved[:kept]
+	if err != nil {
+		return err
 	}
 	// On-line runs start from an empty trace; keep the auto depth cap in
 	// step with what has actually arrived, or a stream deeper than the
@@ -877,15 +891,21 @@ func (a *Analyzer) makeRoot(initState int) (*node, error) {
 }
 
 func (a *Analyzer) accept(n *node, initState int) *Result {
-	var steps []Step
-	for x := n; x != nil && x.parent != nil; x = x.parent {
-		steps = append(steps, x.via)
+	return &Result{Verdict: Valid, Solution: pathTo(n), InitialState: initState}
+}
+
+// pathTo returns the steps from the root to n, root first; nil at the root.
+// A node's depth counts the steps above it, so the path is filled from its
+// end while walking up.
+func pathTo(n *node) []Step {
+	if n.depth == 0 {
+		return nil
 	}
-	// Reverse into root-first order.
-	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-		steps[i], steps[j] = steps[j], steps[i]
+	steps := make([]Step, n.depth)
+	for x := n; x.parent != nil; x = x.parent {
+		steps[x.depth-1] = x.via
 	}
-	return &Result{Verdict: Valid, Solution: steps, InitialState: initState}
+	return steps
 }
 
 // complete reports whether every known input was consumed and every known
@@ -1584,7 +1604,8 @@ func (a *Analyzer) matchOutputsWith(outs []vm.Output, inCur, outCur []int) match
 	// IP-order mode: the block's outputs must be exactly the next outputs in
 	// global trace order, as a set — outputs of one block to different IPs
 	// may be permuted in the trace (§2.4.2 special case).
-	pending := make([]vm.Output, 0, len(outs))
+	var short [8]vm.Output // most blocks send a few outputs: no allocation
+	pending := short[:0]
 	for _, o := range outs {
 		if !a.disabled[o.IP] {
 			pending = append(pending, o)
@@ -1736,12 +1757,7 @@ func (a *Analyzer) diagnoseWithFSM(best *node, fsm int) *Diagnosis {
 	if ev != nil {
 		d.FirstUnexplained = a.renderEvent(ev)
 	}
-	for x := best; x != nil && x.parent != nil; x = x.parent {
-		d.Path = append(d.Path, x.via)
-	}
-	for i, j := 0, len(d.Path)-1; i < j; i, j = i+1, j-1 {
-		d.Path[i], d.Path[j] = d.Path[j], d.Path[i]
-	}
+	d.Path = pathTo(best)
 	return d
 }
 

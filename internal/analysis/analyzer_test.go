@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/efsm"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/specs"
 )
 
@@ -582,5 +583,52 @@ out U TCONconf
 	}
 	if s.AverageFanout() <= 0 {
 		t.Fatalf("fanout not computed")
+	}
+}
+
+// TestIngestSharedValues: ingest resolves a batch into values cut from one
+// array and drops outputs at disabled IPs. Every kept event's Params must
+// end at its own last value, and a Session reusing the analyzer must index
+// the next trace afresh. Errors keep trace order: an input at an unobserved
+// IP comes before a later event that does not resolve.
+func TestIngestSharedValues(t *testing.T) {
+	spec := compile(t, "tp0", specs.TP0)
+	a, err := New(spec, Options{Order: OrderFull, DisabledIPs: []string{"U"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := "in U TCONreq\nout N CR\nin N CC\nout U TCONconf\nin U TDTreq d=1\nout N DT d=1\n" +
+		"in N DT d=2\nout U TDTind d=2\nin U TDTreq d=3\nout N DT d=3\n"
+	for _, text := range []string{long, "in U TCONreq\nout N CR\n", long} {
+		res, err := a.AnalyzeTrace(mustTrace(t, text))
+		if err != nil || res.Verdict != Valid {
+			t.Fatalf("verdict %v, err %v", res.Verdict, err)
+		}
+		for i, ev := range a.events {
+			if cap(ev.Params) != len(ev.Params) {
+				t.Fatalf("event %d: cap %d != len %d", i, cap(ev.Params), len(ev.Params))
+			}
+			if ev.Dir == trace.Out && ev.IP == 0 {
+				t.Fatalf("event %d: output at disabled U kept", i)
+			}
+		}
+		for i := 0; i+1 < len(a.events); i++ {
+			next := append([]vm.Value(nil), a.events[i+1].Params...)
+			_ = append(a.events[i].Params, vm.MakeInt(99))
+			for k := range next {
+				if a.events[i+1].Params[k].I != next[k].I {
+					t.Fatalf("append to event %d changed event %d", i, i+1)
+				}
+			}
+		}
+	}
+
+	hidden, err := New(spec, Options{UnobservedIPs: []string{"U"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = hidden.AnalyzeTrace(mustTrace(t, "out N CR\nin U TCONreq\nin X Y\n"))
+	if err == nil || !strings.Contains(err.Error(), "unobserved ip U") {
+		t.Fatalf("err = %v, want the unobserved-ip error of line 2", err)
 	}
 }

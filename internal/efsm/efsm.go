@@ -61,7 +61,11 @@ type Spec struct {
 	// in that FSM state.
 	spontaneous [][]*sema.TransInfo
 
-	ipByName map[string]int
+	// ipByName and interByName[ip] (the interactions of ip's channel) are
+	// keyed by each name's declared spelling and by its lower-case one, so
+	// a trace name spelled as declared resolves without case folding.
+	ipByName    map[string]int
+	interByName []map[string]*sema.Interaction
 }
 
 // New compiles a checked program and indexes it for the search. The Spec
@@ -72,7 +76,7 @@ func New(prog *sema.Program) *Spec {
 	slim := *prog
 	slim.Info = &sema.Info{OutputGroup: prog.Info.OutputGroup}
 	prog = &slim
-	s := &Spec{Prog: prog, Code: code, ipByName: make(map[string]int, len(prog.IPs))}
+	s := &Spec{Prog: prog, Code: code}
 	nStates := len(prog.States)
 	nIPs := len(prog.IPs)
 	s.when = make([][][]*sema.TransInfo, nStates)
@@ -93,10 +97,36 @@ func New(prog *sema.Program) *Spec {
 			}
 		}
 	}
+	// sema declares IP and interaction names case-insensitively, so no two
+	// keys of one table name different things.
+	s.ipByName = make(map[string]int, 2*nIPs)
 	for _, ip := range prog.IPs {
-		s.ipByName[strings.ToLower(ip.Name)] = ip.ID
+		s.ipByName[strings.ToLower(ip.Name)], s.ipByName[ip.Name] = ip.ID, ip.ID
+	}
+	s.interByName = make([]map[string]*sema.Interaction, nIPs)
+	byChannel := make(map[*sema.Channel]map[string]*sema.Interaction)
+	for _, ip := range prog.IPs {
+		ch := ip.Group.Channel
+		if byChannel[ch] == nil {
+			m := make(map[string]*sema.Interaction, 2*len(ch.Interactions))
+			for lower, inter := range ch.Interactions {
+				m[lower], m[inter.Name] = inter, inter
+			}
+			byChannel[ch] = m
+		}
+		s.interByName[ip.ID] = byChannel[ch]
 	}
 	return s
+}
+
+// lookupName reads a table of ipByName's kind: a name spelled as a key is
+// found as it stands, any other spelling by its lower-case form.
+func lookupName[V any](m map[string]V, name string) (V, bool) {
+	if v, ok := m[name]; ok {
+		return v, true
+	}
+	v, ok := m[strings.ToLower(name)]
+	return v, ok
 }
 
 func allStates(n int) []int {
@@ -160,10 +190,7 @@ func (s *Spec) StateName(st int) string {
 func (s *Spec) IPName(id int) string { return s.Prog.IPs[id].Name }
 
 // IPByName resolves a trace-file IP name (case-insensitive).
-func (s *Spec) IPByName(name string) (int, bool) {
-	id, ok := s.ipByName[strings.ToLower(name)]
-	return id, ok
-}
+func (s *Spec) IPByName(name string) (int, bool) { return lookupName(s.ipByName, name) }
 
 // When returns the when-clause transitions for (state, ip).
 func (s *Spec) When(state, ip int) []*sema.TransInfo { return s.when[state][ip] }
@@ -194,47 +221,84 @@ type ResolvedEvent struct {
 }
 
 // ResolveEvent binds a textual trace event to the specification, validating
-// IP name, interaction name, direction legality and parameter values.
+// IP name, interaction name, direction legality and parameter values. It is
+// ResolveEvents on a batch of one.
 func (s *Spec) ResolveEvent(ev trace.Event) (ResolvedEvent, error) {
-	var out ResolvedEvent
-	id, ok := s.IPByName(ev.IP)
-	if !ok {
-		return out, fmt.Errorf("trace line %d: unknown interaction point %q", ev.Line, ev.IP)
+	var one [1]ResolvedEvent
+	out, err := s.ResolveEvents(one[:0], []trace.Event{ev})
+	if err != nil {
+		return ResolvedEvent{}, err
 	}
-	group := s.Prog.IPs[id].Group
-	inter, ok := group.Channel.Interactions[strings.ToLower(ev.Interaction)]
-	if !ok {
-		return out, fmt.Errorf("trace line %d: channel %s has no interaction %q",
-			ev.Line, group.Channel.Name, ev.Interaction)
-	}
-	// Direction legality: inputs to the module are sent by the peer role;
-	// outputs are sent by the module's own role.
-	if ev.Dir == trace.In && !inter.ByRole[group.PeerRole] {
-		return out, fmt.Errorf("trace line %d: interaction %s cannot arrive at ip %s (not sendable by role %s)",
-			ev.Line, inter.Name, ev.IP, group.PeerRole)
-	}
-	if ev.Dir == trace.Out && !inter.ByRole[group.Role] {
-		return out, fmt.Errorf("trace line %d: interaction %s cannot be output at ip %s (not sendable by role %s)",
-			ev.Line, inter.Name, ev.IP, group.Role)
-	}
-	params := make([]vm.Value, len(inter.Params))
-	for i, p := range inter.Params {
-		params[i] = vm.UndefValue(p.Type)
-	}
-	for _, tp := range ev.Params {
-		i := paramIndex(inter, tp.Name)
-		if i < 0 {
-			return out, fmt.Errorf("trace line %d: interaction %s has no parameter %q",
-				ev.Line, inter.Name, tp.Name)
+	return out[0], nil
+}
+
+// ResolveEvents binds a batch of trace events as ResolveEvent binds one and
+// appends them to dst in order. Names spelled as declared resolve without
+// case folding; other spellings resolve case-insensitively. The parameter
+// values of the whole batch live in one array, sized before it is filled:
+// each event's Params is its own window of it (cap == len). On error the
+// result holds the events before the failing one, and the error is that
+// event's.
+func (s *Spec) ResolveEvents(dst []ResolvedEvent, evs []trace.Event) ([]ResolvedEvent, error) {
+	// First pass: IP, interaction and direction, which fix each event's
+	// parameter count. It stops at the first event that fails them.
+	base, nVals := len(dst), 0
+	var headErr error
+	for i := range evs {
+		ev := &evs[i]
+		id, ok := lookupName(s.ipByName, ev.IP)
+		if !ok {
+			headErr = fmt.Errorf("trace line %d: unknown interaction point %q", ev.Line, ev.IP)
+			break
 		}
-		v, err := ParseValue(inter.Params[i].Type, tp.Value)
-		if err != nil {
-			return out, fmt.Errorf("trace line %d: parameter %s: %v", ev.Line, tp.Name, err)
+		group := s.Prog.IPs[id].Group
+		inter, ok := lookupName(s.interByName[id], ev.Interaction)
+		if !ok {
+			headErr = fmt.Errorf("trace line %d: channel %s has no interaction %q",
+				ev.Line, group.Channel.Name, ev.Interaction)
+			break
 		}
-		params[i] = v
+		// Direction legality: inputs to the module are sent by the peer role;
+		// outputs are sent by the module's own role.
+		if ev.Dir == trace.In && !inter.ByRole[group.PeerRole] {
+			headErr = fmt.Errorf("trace line %d: interaction %s cannot arrive at ip %s (not sendable by role %s)",
+				ev.Line, inter.Name, ev.IP, group.PeerRole)
+			break
+		}
+		if ev.Dir == trace.Out && !inter.ByRole[group.Role] {
+			headErr = fmt.Errorf("trace line %d: interaction %s cannot be output at ip %s (not sendable by role %s)",
+				ev.Line, inter.Name, ev.IP, group.Role)
+			break
+		}
+		nVals += len(inter.Params)
+		dst = append(dst, ResolvedEvent{Seq: ev.Seq, Dir: ev.Dir, IP: id, Inter: inter})
 	}
-	out = ResolvedEvent{Seq: ev.Seq, Dir: ev.Dir, IP: id, Inter: inter, Params: params}
-	return out, nil
+	// Second pass: parameter values. An event's value error comes before
+	// any later event's first-pass error, as in trace order.
+	vals := make([]vm.Value, nVals)
+	for i := base; i < len(dst); i++ {
+		ev, inter := &evs[i-base], dst[i].Inter
+		n := len(inter.Params)
+		params := vals[:n:n]
+		vals = vals[n:]
+		for k, p := range inter.Params {
+			params[k] = vm.UndefValue(p.Type)
+		}
+		for _, tp := range ev.Params {
+			k := paramIndex(inter, tp.Name)
+			if k < 0 {
+				return dst[:i], fmt.Errorf("trace line %d: interaction %s has no parameter %q",
+					ev.Line, inter.Name, tp.Name)
+			}
+			v, err := ParseValue(inter.Params[k].Type, tp.Value)
+			if err != nil {
+				return dst[:i], fmt.Errorf("trace line %d: parameter %s: %v", ev.Line, tp.Name, err)
+			}
+			params[k] = v
+		}
+		dst[i].Params = params
+	}
+	return dst, headErr
 }
 
 func paramIndex(inter *sema.Interaction, name string) int {

@@ -115,6 +115,82 @@ func TestResolveEvent(t *testing.T) {
 		Params: []trace.Param{{Name: "d", Value: "1"}}}); err != nil {
 		t.Fatal(err)
 	}
+
+	// Names resolve case-insensitively, whether spelled as declared or not.
+	want, err := s.ResolveEvent(trace.Event{Dir: trace.In, IP: "U", Interaction: "TCONreq"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ip := range []string{"u", "U"} {
+		for _, inter := range []string{"tconreq", "TCONREQ", "TCONreq"} {
+			re, err := s.ResolveEvent(trace.Event{Dir: trace.In, IP: ip, Interaction: inter})
+			if err != nil || re.IP != want.IP || re.Inter != want.Inter {
+				t.Errorf("%s %s: ip %d inter %p err %v, want ip %d inter %p",
+					ip, inter, re.IP, re.Inter, err, want.IP, want.Inter)
+			}
+		}
+	}
+	// Unknown names keep their error texts.
+	for _, c := range []struct {
+		ev   trace.Event
+		want string
+	}{
+		{trace.Event{Line: 3, Dir: trace.In, IP: "X", Interaction: "TCONreq"},
+			`trace line 3: unknown interaction point "X"`},
+		{trace.Event{Line: 4, Dir: trace.In, IP: "u", Interaction: "TCONREQX"},
+			`trace line 4: channel USAP has no interaction "TCONREQX"`},
+		{trace.Event{Line: 5, Dir: trace.In, IP: "U", Interaction: "tdtreq",
+			Params: []trace.Param{{Name: "D", Value: "1"}, {Name: "e", Value: "2"}}},
+			`trace line 5: interaction TDTreq has no parameter "e"`},
+		{trace.Event{Line: 6, Dir: trace.In, IP: "U", Interaction: "TDTreq",
+			Params: []trace.Param{{Name: "d", Value: "x"}}},
+			`trace line 6: parameter d: invalid integer "x"`},
+		{trace.Event{Line: 7, Dir: trace.Out, IP: "U", Interaction: "TCONREQ"},
+			`trace line 7: interaction TCONreq cannot be output at ip U (not sendable by role provider)`},
+		{trace.Event{Line: 8, Dir: trace.In, IP: "n", Interaction: "tdtind"},
+			`trace line 8: channel NSAP has no interaction "tdtind"`},
+	} {
+		if _, err := s.ResolveEvent(c.ev); err == nil || err.Error() != c.want {
+			t.Errorf("line %d: err = %v, want %s", c.ev.Line, err, c.want)
+		}
+	}
+}
+
+// TestResolveEventsSharedArray: the values of a batch share one array, so
+// each event's window must end at its own last value, and a failing batch
+// keeps the events before the first error in trace order.
+func TestResolveEventsSharedArray(t *testing.T) {
+	s := compileTP0(t)
+	tr, err := trace.ReadString("in U TCONreq\nin U TDTreq d=1\nout N DT d=1\nin N DT d=2\nin U TDTreq d=3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.ResolveEvents(nil, tr.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res {
+		if cap(res[i].Params) != len(res[i].Params) {
+			t.Fatalf("event %d: cap %d != len %d", i, cap(res[i].Params), len(res[i].Params))
+		}
+	}
+	for i := 0; i+1 < len(res); i++ {
+		next := append([]vm.Value(nil), res[i+1].Params...)
+		_ = append(res[i].Params, vm.MakeInt(99))
+		for k := range next {
+			if res[i+1].Params[k].I != next[k].I {
+				t.Fatalf("append to event %d changed event %d", i, i+1)
+			}
+		}
+	}
+
+	bad := append([]trace.Event(nil), tr.Events...)
+	bad[2].Params = []trace.Param{{Name: "d", Value: "x"}}
+	bad[3].IP = "X"
+	res, err = s.ResolveEvents(nil, bad)
+	if len(res) != 2 || err == nil || !strings.Contains(err.Error(), "trace line 3: parameter d") {
+		t.Fatalf("got %d events, err %v; want 2 and the line 3 value error", len(res), err)
+	}
 }
 
 func TestParseValue(t *testing.T) {

@@ -114,16 +114,13 @@ func CheckTrace(spec *efsm.Spec, tr *trace.Trace, opts OracleOptions) (*OracleRe
 
 	// Resolve and queue the trace events per IP, exactly as recorded.
 	nIPs := spec.NumIPs()
-	events := make([]efsm.ResolvedEvent, 0, len(tr.Events))
+	events, err := spec.ResolveEvents(make([]efsm.ResolvedEvent, 0, len(tr.Events)), tr.Events)
+	if err != nil {
+		return nil, err
+	}
 	inputs := make([][]int, nIPs)
 	outputs := make([][]int, nIPs)
-	for _, ev := range tr.Events {
-		re, err := spec.ResolveEvent(ev)
-		if err != nil {
-			return nil, err
-		}
-		idx := len(events)
-		events = append(events, re)
+	for idx, re := range events {
 		if re.Dir == trace.In {
 			inputs[re.IP] = append(inputs[re.IP], idx)
 		} else {

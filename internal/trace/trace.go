@@ -21,16 +21,18 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 	"sync/atomic"
+	"unicode"
+	"unicode/utf8"
 )
 
-// MaxLineBytes bounds one trace line. Lines beyond it are rejected with a
-// positioned ParseError instead of bufio's opaque "token too long".
+// MaxLineBytes bounds one trace line: a line of MaxLineBytes raw bytes or
+// more is rejected with a positioned ParseError.
 const MaxLineBytes = 16 << 20
 
 // Dir is the direction of an event relative to the IUT.
@@ -121,79 +123,220 @@ type ParseError struct {
 func (e *ParseError) Error() string { return fmt.Sprintf("trace line %d: %s", e.Line, e.Msg) }
 
 // ParseLine parses one trace line, returning (nil, false, nil) for blank and
-// comment lines, and (nil, true, nil) for the eof marker.
+// comment lines, and (nil, true, nil) for the eof marker. It is the line
+// parser Read uses, so the on-line ReaderSource and the off-line Read accept
+// the same lines with the same errors. The event it returns has a parameter
+// array of its own.
 func ParseLine(line string, lineno int) (*Event, bool, error) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return nil, false, nil
+	var (
+		ev     Event
+		params []Param
+	)
+	kind, err := parseLine(line, lineno, &ev, &params)
+	if err != nil || kind != lineEvent {
+		return nil, kind == lineEOF, err
 	}
-	fields := strings.Fields(line)
-	if strings.EqualFold(fields[0], "eof") {
-		return nil, true, nil
-	}
-	if len(fields) < 3 {
-		return nil, false, &ParseError{lineno, "expected: in|out IP INTERACTION [name=value ...]"}
-	}
-	var d Dir
-	switch strings.ToLower(fields[0]) {
-	case "in":
-		d = In
-	case "out":
-		d = Out
-	default:
-		return nil, false, &ParseError{lineno, fmt.Sprintf("unknown direction %q", fields[0])}
-	}
-	ev := &Event{Dir: d, IP: fields[1], Interaction: fields[2], Line: lineno}
-	for _, f := range fields[3:] {
-		eq := strings.IndexByte(f, '=')
-		if eq <= 0 {
-			return nil, false, &ParseError{lineno, fmt.Sprintf("malformed parameter %q (want name=value)", f)}
-		}
-		ev.Params = append(ev.Params, Param{Name: f[:eq], Value: f[eq+1:]})
-	}
-	return ev, false, nil
+	return &ev, false, nil
 }
 
-// Read loads a complete static trace.
-func Read(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	// No initial buffer: bufio starts small and doubles up to MaxLineBytes,
-	// so a short trace does not pay for a 64 KiB one.
-	sc.Buffer(nil, MaxLineBytes)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		ev, eof, err := ParseLine(sc.Text(), lineno)
-		if err != nil {
-			return nil, err
-		}
-		if eof {
-			t.EOF = true
-			continue
-		}
-		if ev == nil {
-			continue
-		}
-		if t.EOF {
-			return nil, &ParseError{lineno, "event after eof marker"}
-		}
-		ev.Seq = len(t.Events)
-		t.Events = append(t.Events, *ev)
+type lineKind uint8
+
+const (
+	lineBlank lineKind = iota // blank or comment
+	lineEOF
+	lineEvent
+)
+
+// parseLine parses one line in place: the fields of the event are
+// substrings of line, and its parameters are appended to *params, ev.Params
+// being the full-slice-expression sub-slice they occupy (cap == len; nil
+// when the event has none). Whitespace is unicode.IsSpace, as in
+// strings.Fields.
+func parseLine(line string, lineno int, ev *Event, params *[]Param) (lineKind, error) {
+	first, rest := nextField(line)
+	if first == "" || first[0] == '#' {
+		return lineBlank, nil
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// The offending line was never delivered, so it is the one after
-			// the last successful scan.
-			return nil, &ParseError{lineno + 1, fmt.Sprintf("line too long (over %d bytes)", MaxLineBytes)}
+	if strings.EqualFold(first, "eof") {
+		return lineEOF, nil
+	}
+	ip, rest := nextField(rest)
+	inter, rest := nextField(rest)
+	if inter == "" {
+		return lineBlank, &ParseError{lineno, "expected: in|out IP INTERACTION [name=value ...]"}
+	}
+	// ToLower allocates only for a direction spelled with capitals.
+	switch strings.ToLower(first) {
+	case "in":
+		ev.Dir = In
+	case "out":
+		ev.Dir = Out
+	default:
+		return lineBlank, &ParseError{lineno, fmt.Sprintf("unknown direction %q", first)}
+	}
+	ev.IP, ev.Interaction, ev.Line = ip, inter, lineno
+	start := len(*params)
+	for f, rest := nextField(rest); f != ""; f, rest = nextField(rest) {
+		eq := strings.IndexByte(f, '=')
+		if eq <= 0 {
+			return lineBlank, &ParseError{lineno, fmt.Sprintf("malformed parameter %q (want name=value)", f)}
 		}
+		*params = append(*params, Param{Name: f[:eq], Value: f[eq+1:]})
+	}
+	if end := len(*params); end > start {
+		ev.Params = (*params)[start:end:end]
+	}
+	return lineEvent, nil
+}
+
+// nextField splits off the first whitespace-separated field of s, returning
+// it and the text after it; the field is empty when s holds none.
+func nextField(s string) (field, rest string) {
+	i := skipSpace(s, true)
+	j := i + skipSpace(s[i:], false)
+	return s[i:j], s[j:]
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports as white space.
+var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// skipSpace returns the length of the longest prefix of s whose runes are
+// all white space (space true) or all not (space false).
+func skipSpace(s string, space bool) int {
+	i := 0
+	for i < len(s) {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if (asciiSpace[c] != 0) != space {
+				return i
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) != space {
+			return i
+		}
+		i += size
+	}
+	return i
+}
+
+// Read loads a complete static trace. It reads r to its end once, sizing the
+// buffer from the file length when r is a regular file, turns the input into
+// one string and parses that as ReadString does, so all events of the trace
+// share that string and a caller that keeps one Event keeps the whole text.
+// When r fails, the text read before the failure is parsed first: a
+// malformed line in it is reported instead of the read error.
+func Read(r io.Reader) (*Trace, error) {
+	b, rerr := readInput(r)
+	t, err := ReadString(string(b))
+	if err != nil {
 		return nil, err
+	}
+	if rerr != nil {
+		return nil, rerr
 	}
 	return t, nil
 }
 
-// ReadString loads a static trace from a string.
-func ReadString(s string) (*Trace, error) { return Read(strings.NewReader(s)) }
+// readInput reads r until io.EOF or an error, with bufio.Scanner's guards
+// against a reader that returns an impossible count or makes no progress.
+func readInput(r io.Reader) ([]byte, error) {
+	size := 512
+	if f, ok := r.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() && int64(int(fi.Size())) == fi.Size() {
+			size = int(fi.Size()) + 1 // one byte more, for the read that sees io.EOF
+		}
+	}
+	b := make([]byte, 0, size)
+	for empty := 0; empty <= 100; {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		if n < 0 || n > cap(b)-len(b) {
+			return b, bufio.ErrBadReadCount
+		}
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if n > 0 {
+			empty = 0
+		} else {
+			empty++
+		}
+	}
+	return b, io.ErrNoProgress
+}
+
+// ReadString loads a static trace from a string, parsing it in place: every
+// IP, interaction, parameter name and value of the trace is a substring of s,
+// so all its events share s as their backing store, and a caller that keeps
+// one Event keeps the whole text. A counting pass sizes Events and one
+// parameter array shared by all events (each event's Params is its own
+// full-slice-expression window of it, cap == len); parsing then appends to
+// both without growing them.
+//
+// A line is the text before a '\n' (or the end of s). One of MaxLineBytes
+// bytes or more, a '\r' before the '\n' included, is a ParseError; so are
+// malformed lines and events after the eof marker. The first error in line
+// order is the one reported.
+func ReadString(s string) (*Trace, error) {
+	nEvents, nParams := countEvents(s)
+	events := make([]Event, 0, nEvents)
+	params := make([]Param, 0, nParams)
+	eof := false
+	for lineno := 1; s != ""; lineno++ {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		if len(line) >= MaxLineBytes {
+			return nil, &ParseError{lineno, fmt.Sprintf("line too long (over %d bytes)", MaxLineBytes)}
+		}
+		var ev Event
+		kind, err := parseLine(line, lineno, &ev, &params)
+		switch {
+		case err != nil:
+			return nil, err
+		case kind == lineEOF:
+			eof = true
+		case kind == lineEvent && eof:
+			return nil, &ParseError{lineno, "event after eof marker"}
+		case kind == lineEvent:
+			ev.Seq = len(events)
+			events = append(events, ev)
+		}
+	}
+	t := &Trace{EOF: eof}
+	if len(events) > 0 {
+		t.Events = events
+	}
+	return t, nil
+}
+
+// countEvents bounds the events and parameters of a trace text from above,
+// so ReadString allocates both arrays once. A line can hold an event only if
+// it is neither blank nor a comment and has at least six bytes ("in A x"); it
+// holds at most one parameter per '=' and per three bytes beyond those six
+// (" a="). Blank lines, comments and short junk therefore reserve nothing,
+// and no text reserves more than a valid trace of its length would use.
+func countEvents(s string) (events, params int) {
+	for s != "" {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		i := skipSpace(line, true)
+		if len(line) < 6 || i == len(line) || line[i] == '#' {
+			continue
+		}
+		events++
+		params += min(strings.Count(line, "="), (len(line)-6)/3)
+	}
+	return events, params
+}
 
 // Write renders the trace (including the eof marker if set).
 func Write(w io.Writer, t *Trace) error {

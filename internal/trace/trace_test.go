@@ -276,3 +276,34 @@ func itoa(n int64) string {
 	}
 	return string(b[i:])
 }
+
+// TestReadParamsWindows: all events of a trace cut their Params from one
+// array, so each window must end at its own last parameter (cap == len), or
+// an append to one event's Params would overwrite the next event's.
+func TestReadParamsWindows(t *testing.T) {
+	text := "in A x a=1 b=2\nout A y\nin A z c=3\n# c\nout A w d=4 e=5\n"
+	for _, read := range []func() (*Trace, error){
+		func() (*Trace, error) { return ReadString(text) },
+		func() (*Trace, error) { return Read(strings.NewReader(text)) },
+	} {
+		tr, err := read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Events[1].Params != nil {
+			t.Fatalf("event without parameters has Params %#v, want nil", tr.Events[1].Params)
+		}
+		for i, ev := range tr.Events {
+			if cap(ev.Params) != len(ev.Params) {
+				t.Fatalf("event %d: cap %d != len %d", i, cap(ev.Params), len(ev.Params))
+			}
+		}
+		want := Format(tr)
+		for i := range tr.Events {
+			_ = append(tr.Events[i].Params, Param{Name: "z", Value: "9"})
+		}
+		if got := Format(tr); got != want {
+			t.Fatalf("appending to Params changed other events:\n%s\nwant\n%s", got, want)
+		}
+	}
+}
