@@ -96,44 +96,62 @@ func TestCorpusConformance(t *testing.T) {
 	}
 }
 
-// TestBatchReportDeterminism runs the tp0 corpus at -j 1, -j 8 and shuffled
-// dispatch orders: the normalized reports must be byte-identical.
+// TestBatchReportDeterminism runs every corpus at -j 1, -j 8 and shuffled
+// dispatch orders, under several option sets: the normalized reports, search
+// counters and flight tails included, must be byte-identical. Each worker's
+// Session reuses its analyzer, and so its trace and search-node storage,
+// across a different sequence of traces in every run.
 func TestBatchReportDeterminism(t *testing.T) {
-	spec, err := efsm.Compile("tp0", specs.All()["tp0"])
-	if err != nil {
-		t.Fatal(err)
+	optionSets := []struct {
+		name, order string
+		opts        analysis.Options
+	}{
+		{"full", "FULL", analysis.Options{Order: analysis.OrderFull}},
+		{"nr-memo", "NR", analysis.Options{Order: analysis.OrderNone, Memo: true}},
+		{"full-hash-memo-paranoid", "FULL", analysis.Options{Order: analysis.OrderFull,
+			StateHashing: true, Memo: true, CollisionCheck: true}},
+		{"full-flight", "FULL", analysis.Options{Order: analysis.OrderFull, FlightRecorder: 64}},
 	}
-	items, err := batch.Collect([]string{corpusManifest(t, "tp0")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aopts := analysis.Options{Order: analysis.OrderFull}
-	var baseline []byte
-	for i, o := range []batch.Options{
-		{Workers: 1, Analysis: aopts},
-		{Workers: 8, Analysis: aopts},
-		{Workers: 8, Analysis: aopts, Shuffle: true, Seed: 1},
-		{Workers: 2, Analysis: aopts, Shuffle: true, Seed: 99},
-	} {
-		res, err := batch.Run(context.Background(), spec, items, o)
+	for _, name := range corpusSpecs {
+		spec, err := efsm.Compile(name, specs.All()[name])
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := batch.BuildReport("specs/tp0.estelle", "FULL", spec, o, res)
-		rep.Normalize()
-		var buf []byte
-		if buf, err = json.MarshalIndent(rep, "", "  "); err != nil {
+		items, err := batch.Collect([]string{corpusManifest(t, name)})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			baseline = buf
-			if rep.Schema != obs.BatchSchema {
-				t.Fatalf("schema %q", rep.Schema)
+		for _, set := range optionSets {
+			aopts := set.opts
+			var baseline []byte
+			for i, o := range []batch.Options{
+				{Workers: 1, Analysis: aopts},
+				{Workers: 8, Analysis: aopts},
+				{Workers: 8, Analysis: aopts, Shuffle: true, Seed: 1},
+				{Workers: 2, Analysis: aopts, Shuffle: true, Seed: 99},
+			} {
+				res, err := batch.Run(context.Background(), spec, items, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep := batch.BuildReport("specs/"+name+".estelle", set.order, spec, o, res)
+				rep.Normalize()
+				var buf []byte
+				if buf, err = json.MarshalIndent(rep, "", "  "); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					baseline = buf
+					if rep.Schema != obs.BatchSchema {
+						t.Fatalf("schema %q", rep.Schema)
+					}
+					continue
+				}
+				if string(buf) != string(baseline) {
+					t.Errorf("%s/%s run %d: normalized report differs from -j 1 baseline:\n%s\n---\n%s",
+						name, set.name, i, buf, baseline)
+				}
 			}
-			continue
-		}
-		if string(buf) != string(baseline) {
-			t.Errorf("run %d: normalized report differs from -j 1 baseline:\n%s\n---\n%s", i, buf, baseline)
 		}
 	}
 }

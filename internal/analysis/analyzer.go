@@ -19,7 +19,8 @@ import (
 // Analyzer is a trace analysis module (TAM) generated from a specification:
 // it decides the validity of traces against the spec by backtracking search.
 // An Analyzer is not safe for concurrent use, but may be reused for several
-// traces sequentially.
+// traces sequentially. A reused Analyzer keeps the trace and search-node
+// storage of the largest trace it has analyzed, and reuses it for the next.
 type Analyzer struct {
 	spec *efsm.Spec
 	opts Options
@@ -48,6 +49,16 @@ type Analyzer struct {
 	seen   *seenTable
 	memo   *deadMemo
 	faults []string
+
+	// Search-node storage, kept across reset (see newNode and recycle): free
+	// holds nodes nothing can read any more, with their candidate and
+	// cursor arrays; stack is the backing array of the DFS stack; nodeSeq
+	// numbers the nodes in order of creation. params is the buffer each
+	// Execute call's interaction parameters are copied into.
+	free    []*node
+	stack   []*node
+	nodeSeq uint64
+	params  []vm.Value
 
 	// Observability (all optional; nil costs nothing on the hot path).
 	tracer obs.Tracer
@@ -87,6 +98,9 @@ const maxRecordedFaults = 8
 type node struct {
 	parent *node
 	via    Step
+	// seq is the creation number newNode stamps from Analyzer.nodeSeq; 0 for
+	// the parallel engine's nodes.
+	seq uint64
 
 	// live is the state the node represents; saved is a private snapshot
 	// taken when the node may need to be restored (several candidates, or a
@@ -101,8 +115,9 @@ type node struct {
 	cands []candidate
 	next  int
 
-	// seeds are pre-built children from partial-mode forked execution.
-	seeds []seed
+	// seeds are pre-built children from partial-mode forked execution, each
+	// holding its forked state; adoptSeed counts and checks them.
+	seeds []*node
 
 	// MDFS state.
 	pg       bool
@@ -131,14 +146,6 @@ type candidate struct {
 	// transitions; -2 for synthesized inputs at unobserved IPs.
 	eventIdx int
 	params   []vm.Value
-}
-
-type seed struct {
-	state  *vm.State
-	via    Step
-	inCur  []int
-	outCur []int
-	synth  []int
 }
 
 const (
@@ -520,7 +527,23 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 		}
 		a.memo = newDeadMemo(b, a.opts.CollisionCheck)
 	}
-	stack := []*node{root}
+	stack := append(a.stack[:0], root)
+	defer func() {
+		// By now the Result is built, and Solution and Diagnosis.Path are
+		// copies. In a static run, hand back the states of the nodes still
+		// on the stack, top first so that a state shared in place is
+		// released once, then recycle the nodes.
+		if !a.dynamic {
+			for i := len(stack) - 1; i >= 0; i-- {
+				releaseNode(stack[i])
+			}
+			for _, n := range stack {
+				a.recycle(n)
+			}
+		}
+		clear(stack[:cap(stack)])
+		a.stack = stack[:0]
+	}()
 	var pgSaved []*node // MDFS: fully-explored PG-nodes awaiting new input
 	var pgav *node      // best PGAV node seen (dynamic mode)
 
@@ -762,13 +785,9 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 
 		// Partial-mode seeds first.
 		if len(n.seeds) > 0 {
-			sd := n.seeds[0]
+			child := n.seeds[0]
 			n.seeds = n.seeds[1:]
-			child, ok, err := a.adoptSeed(n, sd)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			if !a.adoptSeed(child) {
 				continue
 			}
 			note(child)
@@ -801,17 +820,23 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 			// Node fully explored for now.
 			stack = stack[:len(stack)-1]
 			a.notePop(n)
+			if n.truncated && n.parent != nil {
+				// A cut-off subtree does not prove the parent dead either.
+				n.parent.truncated = true
+			}
 			if a.dynamic && (n.pg || a.complete(n)) && !a.eofSeen {
 				a.savePG(n, &pgSaved)
 			} else {
 				a.memoizeDead(n)
 				if !a.dynamic {
 					releaseNode(n)
+					// Every node made while n was on the stack descends
+					// from n, so a best made before n is neither n nor
+					// below it: nothing reads n any more.
+					if best.seq < n.seq {
+						a.recycle(n)
+					}
 				}
-			}
-			if n.truncated && n.parent != nil {
-				// A cut-off subtree does not prove the parent dead either.
-				n.parent.truncated = true
 			}
 			continue
 		}
@@ -870,11 +895,10 @@ func (a *Analyzer) makeRoot(initState int) (*node, error) {
 		}
 	}
 	nIPs := a.spec.NumIPs()
-	root := &node{
-		live:   st,
-		inCur:  make([]int, nIPs),
-		outCur: make([]int, nIPs),
-	}
+	root := a.newNode(nil)
+	root.live = st
+	root.inCur = append(root.inCur[:0], make([]int, nIPs)...)
+	root.outCur = append(root.outCur[:0], make([]int, nIPs)...)
 	if a.opts.Partial {
 		root.synth = make([]int, nIPs)
 	}
@@ -896,16 +920,64 @@ func (a *Analyzer) accept(n *node, initState int) *Result {
 
 // pathTo returns the steps from the root to n, root first; nil at the root.
 // A node's depth counts the steps above it, so the path is filled from its
-// end while walking up.
+// end while walking up. It checks the chain it walks: each parent sits one
+// level above its child and, unless the child is a parallel-engine node
+// (seq 0), was made before it, and the walk ends at depth 0. A chain that
+// breaks this holds a recycled node, so pathTo panics rather than read it.
 func pathTo(n *node) []Step {
-	if n.depth == 0 {
-		return nil
+	var steps []Step
+	if n.depth > 0 {
+		steps = make([]Step, n.depth)
 	}
-	steps := make([]Step, n.depth)
-	for x := n; x.parent != nil; x = x.parent {
+	x := n
+	for ; x.parent != nil; x = x.parent {
+		if p := x.parent; p.depth != x.depth-1 || (x.seq != 0 && p.seq >= x.seq) {
+			panic(fmt.Sprintf("analysis: search path broken at depth %d (node %d, parent %d at depth %d)",
+				x.depth, x.seq, p.seq, p.depth))
+		}
 		steps[x.depth-1] = x.via
 	}
+	if x.depth != 0 {
+		panic(fmt.Sprintf("analysis: search path ends at depth %d, not at the root", x.depth))
+	}
 	return steps
+}
+
+// newNode returns a node for a child of parent, or for a root when parent is
+// nil: a recycled one from the free list when there is one, else a new one.
+// Every node of the sequential search comes from here, stamped with its
+// creation number.
+func (a *Analyzer) newNode(parent *node) *node {
+	var n *node
+	if k := len(a.free); k > 0 {
+		n = a.free[k-1]
+		a.free[k-1] = nil
+		a.free = a.free[:k-1]
+	} else {
+		n = new(node)
+	}
+	a.nodeSeq++
+	n.parent, n.seq = parent, a.nodeSeq
+	if parent != nil {
+		n.depth = parent.depth + 1
+	}
+	return n
+}
+
+// recycle puts a node that nothing can read any more on the free list, reset
+// to its zero value except for its candidate, cursor and synthesized-input
+// arrays, which it keeps at length 0 for the next node. The candidate array
+// is cleared to its capacity, so a recycled node cannot pin the last trace's
+// parameter values. On-line runs recycle nothing: a parked PG-node keeps its
+// parent chain, and it can be revived and accepted after its ancestors have
+// popped.
+func (a *Analyzer) recycle(n *node) {
+	if a.dynamic {
+		return
+	}
+	clear(n.cands[:cap(n.cands)])
+	*n = node{cands: n.cands[:0], inCur: n.inCur[:0], outCur: n.outCur[:0], synth: n.synth[:0]}
+	a.free = append(a.free, n)
 }
 
 // complete reports whether every known input was consumed and every known
@@ -1104,7 +1176,7 @@ func (a *Analyzer) maybeBeat(depth int) {
 // is incomplete because an input queue is empty is partially generated.
 func (a *Analyzer) generate(n *node) error {
 	a.stats.GE++
-	cands, pg, err := a.computeCandidates(n)
+	cands, pg, err := a.computeCandidates(n, n.cands[:0])
 	if err != nil {
 		return err
 	}
@@ -1120,7 +1192,8 @@ func (a *Analyzer) generate(n *node) error {
 func (a *Analyzer) regenerate(n *node) error {
 	a.stats.GE++
 	a.stats.Regens++
-	cands, pg, err := a.computeCandidates(n)
+	// A fresh list: merging below reads the tried prefix of n.cands.
+	cands, pg, err := a.computeCandidates(n, nil)
 	if err != nil {
 		return err
 	}
@@ -1154,8 +1227,9 @@ type candKey struct {
 
 func keyOf(c candidate) candKey { return candKey{c.ti, c.eventIdx} }
 
-func (a *Analyzer) computeCandidates(n *node) ([]candidate, bool, error) {
-	var cands []candidate
+// computeCandidates appends n's fireable candidates to cands and reports
+// whether n is partially generated.
+func (a *Analyzer) computeCandidates(n *node, cands []candidate) ([]candidate, bool, error) {
 	pg := false
 	// Use the node's authoritative state: a failed in-place execution leaves
 	// n.live past the transition, while n.saved still holds the node's state.
@@ -1339,8 +1413,9 @@ const (
 
 // executeCandidate performs the Update operation for candidate c of node n.
 // It returns the child node, or ok=false if the edge failed (mismatch,
-// blocked, depth limit, or hash prune). In partial mode, forked results are
-// stored as seeds on n and (nil, true) is returned.
+// blocked, depth limit, or hash prune); a child refuted here is recycled. In
+// partial mode, forked results are stored as seeds on n and (nil, true) is
+// returned.
 func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*node, bool, error) {
 	if n.depth+1 > a.opts.MaxDepth {
 		a.notePrune(n.depth+1, c.ti.Name, "depth")
@@ -1358,8 +1433,7 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 		// Forked execution: every feasible decision vector yields a seed.
 		a.stats.TE++
 		a.noteFire(n, c, via.EventSeq)
-		base := a.stateOf(n)
-		results, err := a.exec.ExecuteForked(base, c.ti, cloneParams(c.params))
+		results, err := a.exec.ExecuteForked(a.stateOf(n), c.ti, a.paramsFor(c.params))
 		if err != nil {
 			if a.containedErr(err) {
 				a.notePrune(n.depth+1, c.ti.Name, "infeasible")
@@ -1375,21 +1449,16 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 			}
 		}
 		for _, r := range results {
-			inCur, outCur, synth := a.childCursors(n, c)
-			status := a.matchOutputsWith(r.Outputs, inCur, outCur)
-			switch status {
-			case matchFail:
-				a.notePrune(n.depth+1, c.ti.Name, "mismatch")
+			child := a.newNode(n)
+			child.via, child.live = via, r.State
+			a.setCursors(child, c)
+			if why := a.matchChild(child, c, r.Outputs); why != "" {
+				a.notePrune(child.depth, c.ti.Name, why)
 				vm.ReleaseState(r.State) // forked states are exclusively ours
-				continue
-			case matchBlocked:
-				a.notePrune(n.depth+1, c.ti.Name, "blocked")
-				n.pg = true
-				n.deferred = append(n.deferred, c)
-				vm.ReleaseState(r.State)
+				a.recycle(child)
 				continue
 			}
-			n.seeds = append(n.seeds, seed{state: r.State, via: via, inCur: inCur, outCur: outCur, synth: synth})
+			n.seeds = append(n.seeds, child)
 		}
 		return nil, true, nil
 	}
@@ -1426,7 +1495,7 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 
 	a.stats.TE++
 	a.noteFire(n, c, via.EventSeq)
-	outs, err := a.exec.Execute(st, c.ti, cloneParams(c.params))
+	outs, err := a.exec.Execute(st, c.ti, a.paramsFor(c.params))
 	if err != nil {
 		if a.containedErr(err) {
 			a.notePrune(n.depth+1, c.ti.Name, "infeasible")
@@ -1437,53 +1506,52 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 		}
 		return nil, false, err
 	}
-	inCur, outCur, synth := a.childCursors(n, c)
-	switch a.matchOutputsWith(outs, inCur, outCur) {
-	case matchFail:
-		a.notePrune(n.depth+1, c.ti.Name, "mismatch")
-		if restored {
-			vm.ReleaseState(st)
-		}
-		return nil, false, nil
-	case matchBlocked:
-		a.notePrune(n.depth+1, c.ti.Name, "blocked")
-		n.pg = true
-		n.deferred = append(n.deferred, c)
-		if restored {
-			vm.ReleaseState(st)
-		}
-		return nil, false, nil
+	child := a.newNode(n)
+	child.via, child.live = via, st
+	a.setCursors(child, c)
+	why := a.matchChild(child, c, outs)
+	if why == "" {
+		a.stats.Nodes++
+		why = a.checkChild(child, st)
 	}
-	child := &node{
-		parent: n,
-		via:    via,
-		live:   st,
-		inCur:  inCur,
-		outCur: outCur,
-		synth:  synth,
-		depth:  n.depth + 1,
-	}
-	a.stats.Nodes++
-	if prune, why := a.checkChild(child, st); prune {
+	if why != "" {
 		a.notePrune(child.depth, c.ti.Name, why)
 		if restored {
 			vm.ReleaseState(st)
 		}
+		a.recycle(child)
 		return nil, false, nil
 	}
 	return child, true, nil
 }
 
+// matchChild verifies outs, the outputs of the candidate c that made child,
+// against the trace, advancing child's output cursors. It returns "" when
+// they match, else the prune reason; a blocked candidate is deferred on
+// child's parent, which becomes a PG-node.
+func (a *Analyzer) matchChild(child *node, c candidate, outs []vm.Output) string {
+	switch a.matchOutputsWith(outs, child.inCur, child.outCur) {
+	case matchFail:
+		return "mismatch"
+	case matchBlocked:
+		n := child.parent
+		n.pg = true
+		n.deferred = append(n.deferred, c)
+		return "blocked"
+	}
+	return ""
+}
+
 // checkChild applies visited-state (seen) and dead-state (memo) pruning to a
 // freshly created child, computing its fingerprint hash exactly once and
-// caching it on the node for memoization at pop time. It returns whether the
-// child must be pruned and the reason tag for the trace event.
-func (a *Analyzer) checkChild(child *node, st *vm.State) (bool, string) {
+// caching it on the node for memoization at pop time. It returns the reason
+// tag for the trace event when the child must be pruned, else "".
+func (a *Analyzer) checkChild(child *node, st *vm.State) string {
 	if a.cov != nil {
 		a.cov.HitState(st.FSM) // the state was reached even if pruned below
 	}
 	if a.seen == nil && a.memo == nil {
-		return false, ""
+		return ""
 	}
 	child.fp = a.hashNode(st, child)
 	child.hashed = true
@@ -1495,16 +1563,16 @@ func (a *Analyzer) checkChild(child *node, st *vm.State) (bool, string) {
 	}
 	if a.seen != nil && a.seen.visit(child.fp, child.depth, canon) {
 		a.stats.HashHits++
-		return true, "hash"
+		return "hash"
 	}
 	if a.memo != nil && a.memo.dead(child.fp, func() string { return child.canon }) {
 		a.stats.PrunedByMemo++
 		if a.mMemoPrunes != nil {
 			a.mMemoPrunes.Inc()
 		}
-		return true, "memo"
+		return "memo"
 	}
-	return false, ""
+	return ""
 }
 
 // hashNode extends the state's fingerprint hash with the node's trace
@@ -1530,55 +1598,52 @@ func (a *Analyzer) hashNode(st *vm.State, n *node) uint64 {
 	return h.Sum64()
 }
 
-func cloneParams(ps []vm.Value) []vm.Value {
-	if ps == nil {
-		return nil
-	}
-	out := make([]vm.Value, len(ps))
+// paramsFor deep-copies an event's parameters into the Analyzer's parameter
+// buffer, for one Execute call. The next call reuses the buffer: nothing reads
+// it after the call returns, because sema makes interaction parameters
+// read-only (no assignment, no var argument) and the vm drops them when the
+// call ends.
+func (a *Analyzer) paramsFor(ps []vm.Value) []vm.Value {
+	a.params = a.params[:0]
 	for i := range ps {
-		out[i] = ps[i].Copy()
+		a.params = append(a.params, ps[i].Copy())
 	}
-	return out
+	return a.params
 }
 
-// adoptSeed turns a partial-mode seed into a child node.
-func (a *Analyzer) adoptSeed(n *node, sd seed) (*node, bool, error) {
-	child := &node{
-		parent: n,
-		via:    sd.via,
-		live:   sd.state,
-		inCur:  sd.inCur,
-		outCur: sd.outCur,
-		synth:  sd.synth,
-		depth:  n.depth + 1,
-	}
+// adoptSeed counts a partial-mode seed, a child that executeCandidate built
+// from a forked result, and applies the seen-set and the memo to it. A pruned
+// seed hands back its state and is recycled.
+func (a *Analyzer) adoptSeed(child *node) bool {
 	a.stats.Nodes++
-	if prune, why := a.checkChild(child, sd.state); prune {
-		a.notePrune(child.depth, sd.via.Trans.Name, why)
-		vm.ReleaseState(sd.state) // forked seed states are exclusively ours
-		return nil, false, nil
+	why := a.checkChild(child, child.live)
+	if why == "" {
+		return true
 	}
-	return child, true, nil
+	a.notePrune(child.depth, child.via.Trans.Name, why)
+	vm.ReleaseState(child.live) // forked seed states are exclusively ours
+	a.recycle(child)
+	return false
 }
 
-// childCursors copies n's cursors, consuming c's input event.
-func (a *Analyzer) childCursors(n *node, c candidate) (inCur, outCur, synth []int) {
-	inCur = append([]int(nil), n.inCur...)
-	outCur = append([]int(nil), n.outCur...)
+// setCursors writes into child's own arrays its parent's trace cursors and
+// synthesized-input counts, advanced past the input that c consumes.
+func (a *Analyzer) setCursors(child *node, c candidate) {
+	n := child.parent
+	child.inCur = append(child.inCur[:0], n.inCur...)
+	child.outCur = append(child.outCur[:0], n.outCur...)
 	if n.synth != nil {
-		synth = append([]int(nil), n.synth...)
+		child.synth = append(child.synth[:0], n.synth...)
 	}
 	switch {
 	case c.eventIdx >= 0:
-		ip := a.events[c.eventIdx].IP
-		inCur[ip]++
+		child.inCur[a.events[c.eventIdx].IP]++
 	case c.eventIdx == evSynthesized:
-		if synth != nil {
-			synth[c.ti.WhenIPIndex]++
+		if n.synth != nil {
+			child.synth[c.ti.WhenIPIndex]++
 		}
 		a.stats.SynthIn++
 	}
-	return inCur, outCur, synth
 }
 
 // matchOutputsWith verifies the outputs of one transition block against the

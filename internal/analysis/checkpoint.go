@@ -186,15 +186,12 @@ func (a *Analyzer) captureCheckpoint(initState int, best, curOwner *node) *Check
 		Nodes:        a.stats.Nodes,
 		TE:           a.stats.TE,
 	}
-	for x := best; x != nil && x.parent != nil; x = x.parent {
+	for _, s := range pathTo(best) {
 		ck.Steps = append(ck.Steps, CheckpointStep{
-			Trans:       x.via.Trans.Name,
-			EventSeq:    x.via.EventSeq,
-			Synthesized: x.via.Synthesized,
+			Trans:       s.Trans.Name,
+			EventSeq:    s.EventSeq,
+			Synthesized: s.Synthesized,
 		})
-	}
-	for i, j := 0, len(ck.Steps)-1; i < j; i, j = i+1, j-1 {
-		ck.Steps[i], ck.Steps[j] = ck.Steps[j], ck.Steps[i]
 	}
 	return ck
 }
@@ -343,23 +340,18 @@ func (a *Analyzer) replay(ck *CheckpointState, cut int) (*node, error) {
 			c.params = ev.Params
 		}
 		a.stats.TE++
-		outs, err := a.exec.Execute(st, ti, cloneParams(c.params))
+		outs, err := a.exec.Execute(st, ti, a.paramsFor(c.params))
 		if err != nil {
 			return nil, fmt.Errorf("%w: replaying %q: %v", ErrCheckpointMismatch, ti.Name, err)
 		}
-		inCur, outCur, synth := a.childCursors(cur, c)
-		if a.matchOutputsWith(outs, inCur, outCur) != matchOK {
+		next := a.newNode(cur)
+		next.via = Step{Trans: ti, EventSeq: s.EventSeq, Synthesized: s.Synthesized}
+		next.live = st
+		a.setCursors(next, c)
+		if a.matchOutputsWith(outs, next.inCur, next.outCur) != matchOK {
 			return nil, fmt.Errorf("%w: outputs diverge replaying %q", ErrCheckpointMismatch, ti.Name)
 		}
-		cur = &node{
-			parent: cur,
-			via:    Step{Trans: ti, EventSeq: s.EventSeq, Synthesized: s.Synthesized},
-			live:   st,
-			inCur:  inCur,
-			outCur: outCur,
-			synth:  synth,
-			depth:  cur.depth + 1,
-		}
+		cur = next
 		a.stats.Nodes++
 	}
 

@@ -396,3 +396,65 @@ out P pong
 		t.Fatalf("verdict %v", res.Verdict)
 	}
 }
+
+// poppedAncestorSpec lets a dead branch (t1) explain as many events as the
+// live one (t2 t5) before the live one parks at a PG-node in S3.
+const poppedAncestorSpec = `specification popped;
+channel CH(a, b);
+  by a: m(v : integer);
+  by b: r(w : integer);
+module M systemprocess;
+  ip P : CH(b) individual queue;
+end;
+body MB for M;
+state S0, S1, S2, S3;
+initialize to S0 begin end;
+trans
+  from S0 to S1 when P.m name t1: begin output P.r(1) end;
+  from S0 to S2 when P.m name t2: begin end;
+  from S2 to S3 name t5: begin output P.r(1) end;
+  from S3 to S3 when P.m name t6: begin output P.r(2) end;
+end;
+end.`
+
+// TestOnlineSolutionThroughPoppedAncestor checks an on-line Solution whose
+// path runs through a node that popped before the run ended. The t1 branch
+// explains two events, dies and stays the best node; the t2 node pops while
+// its PG child in S3 is parked; the second chunk revives that child, and its
+// t6 child is accepted. The path must be the off-line run's, so an on-line
+// run must not recycle the popped t2 node.
+func TestOnlineSolutionThroughPoppedAncestor(t *testing.T) {
+	spec := compile(t, "popped", poppedAncestorSpec)
+	events := mustTrace(t, "in P m v=0\nout P r w=1\nout P r w=2\nin P m v=3\n").Events
+	opts := Options{Order: OrderNone}
+
+	a, err := New(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online, err := a.AnalyzeSource(trace.NewSliceSource([][]trace.Event{events[:3], events[3:]}, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := a.AnalyzeTrace(&trace.Trace{Events: events, EOF: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(steps []Step) string {
+		var parts []string
+		for _, s := range steps {
+			parts = append(parts, s.String())
+		}
+		return strings.Join(parts, " ")
+	}
+	const want = "t2<0 t5 t6<3"
+	if online.Verdict != Valid || render(online.Solution) != want {
+		t.Errorf("on-line: verdict %v, solution %q; want valid, %q", online.Verdict, render(online.Solution), want)
+	}
+	if offline.Verdict != Valid || render(offline.Solution) != want {
+		t.Errorf("off-line: verdict %v, solution %q; want valid, %q", offline.Verdict, render(offline.Solution), want)
+	}
+	if online.Stats.PGNodes == 0 {
+		t.Error("the on-line run parked no PG-node; the test no longer revives a child of a popped node")
+	}
+}

@@ -494,7 +494,7 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 
 	wa.stats.TE++
 	wa.noteFire(n, c, via.EventSeq)
-	outs, err := wa.exec.Execute(st, c.ti, cloneParams(c.params))
+	outs, err := wa.exec.Execute(st, c.ti, wa.paramsFor(c.params))
 	if err != nil {
 		if wa.containedErr(err) {
 			w.harvestFaults(childKey + rankExecFault)
@@ -507,23 +507,17 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 		e.resolve(n, 1)
 		return nil
 	}
-	inCur, outCur, synth := wa.childCursors(n, c)
-	if wa.matchOutputsWith(outs, inCur, outCur) != matchOK {
+	// Parallel nodes are allocated, never recycled: they cross goroutines.
+	child := &node{parent: n, via: via, depth: n.depth + 1}
+	wa.setCursors(child, c)
+	if wa.matchOutputsWith(outs, child.inCur, child.outCur) != matchOK {
 		// Static mode: matchBlocked cannot occur, any non-OK is a mismatch.
 		vm.ReleaseState(st)
 		e.resolve(n, 1)
 		return nil
 	}
-	child := &node{
-		parent: n,
-		via:    via,
-		saved:  st, // parallel nodes keep their state in saved until finalize
-		inCur:  inCur,
-		outCur: outCur,
-		synth:  synth,
-		depth:  n.depth + 1,
-		par:    &parNode{rkey: childKey},
-	}
+	child.saved = st // parallel nodes keep their state in saved until finalize
+	child.par = &parNode{rkey: childKey}
 	wa.stats.Nodes++
 	if wa.cov != nil {
 		wa.cov.HitState(st.FSM)

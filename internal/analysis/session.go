@@ -12,7 +12,8 @@ import (
 // compiled specification plus the read-and-analyze plumbing shared by the CLI
 // and the batch engine. Like the Analyzer it wraps, a Session must not be
 // used from more than one goroutine at a time, but it may analyze any number
-// of traces sequentially.
+// of traces sequentially. Between traces it keeps the trace and search-node
+// storage of the largest trace it has analyzed, which the next trace reuses.
 //
 // Sessions are the unit of parallelism for multi-trace workloads: the
 // compiled *efsm.Spec is immutable after compilation (see the package efsm

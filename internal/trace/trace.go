@@ -222,15 +222,15 @@ func skipSpace(s string, space bool) int {
 	return i
 }
 
-// Read loads a complete static trace. It reads r to its end once, sizing the
-// buffer from the file length when r is a regular file, turns the input into
-// one string and parses that as ReadString does, so all events of the trace
-// share that string and a caller that keeps one Event keeps the whole text.
-// When r fails, the text read before the failure is parsed first: a
-// malformed line in it is reported instead of the read error.
+// Read loads a complete static trace. It reads r to its end once into one
+// string, sized from the file length when r is a regular file, and parses
+// that as ReadString does, so all events of the trace share that string and a
+// caller that keeps one Event keeps the whole text. When r fails, the text
+// read before the failure is parsed first: a malformed line in it is
+// reported instead of the read error.
 func Read(r io.Reader) (*Trace, error) {
-	b, rerr := readInput(r)
-	t, err := ReadString(string(b))
+	text, rerr := readInput(r)
+	t, err := ReadString(text)
 	if err != nil {
 		return nil, err
 	}
@@ -241,29 +241,31 @@ func Read(r io.Reader) (*Trace, error) {
 }
 
 // readInput reads r until io.EOF or an error, with bufio.Scanner's guards
-// against a reader that returns an impossible count or makes no progress.
-func readInput(r io.Reader) ([]byte, error) {
-	size := 512
+// against a reader that returns an impossible count or makes no progress. It
+// reads through a scratch buffer of at most 4 KiB into a strings.Builder,
+// grown to the file size when r is a regular file, so the text is allocated
+// once and String does not copy it.
+func readInput(r io.Reader) (string, error) {
+	var sb strings.Builder
+	chunk := 4 << 10
 	if f, ok := r.(*os.File); ok {
 		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() && int64(int(fi.Size())) == fi.Size() {
-			size = int(fi.Size()) + 1 // one byte more, for the read that sees io.EOF
+			sb.Grow(int(fi.Size()))
+			chunk = min(chunk, int(fi.Size())+1) // +1: an empty file still gets a read that can see io.EOF
 		}
 	}
-	b := make([]byte, 0, size)
+	buf := make([]byte, chunk)
 	for empty := 0; empty <= 100; {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
+		n, err := r.Read(buf)
+		if n < 0 || n > len(buf) {
+			return sb.String(), bufio.ErrBadReadCount
 		}
-		n, err := r.Read(b[len(b):cap(b)])
-		if n < 0 || n > cap(b)-len(b) {
-			return b, bufio.ErrBadReadCount
-		}
-		b = b[:len(b)+n]
+		sb.Write(buf[:n])
 		if err == io.EOF {
-			return b, nil
+			return sb.String(), nil
 		}
 		if err != nil {
-			return b, err
+			return sb.String(), err
 		}
 		if n > 0 {
 			empty = 0
@@ -271,7 +273,7 @@ func readInput(r io.Reader) ([]byte, error) {
 			empty++
 		}
 	}
-	return b, io.ErrNoProgress
+	return sb.String(), io.ErrNoProgress
 }
 
 // ReadString loads a static trace from a string, parsing it in place: every

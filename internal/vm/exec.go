@@ -11,7 +11,10 @@ import (
 )
 
 // Output is one interaction produced by an output statement during a
-// transition block.
+// transition block. The Exec that produced it keeps its outputs and their
+// Params in buffers it reuses: an Output, and its Params, are valid until the
+// next RunInit, Execute or ExecuteForked call on the same Exec. A caller that
+// needs them longer copies them.
 type Output struct {
 	// IP is the flattened interaction-point instance id.
 	IP     int
@@ -116,8 +119,14 @@ type Exec struct {
 
 	state       *State
 	interParams []Value
-	outputs     []Output
 	steps       int
+
+	// outBuf holds the outputs of one RunInit, Execute or ExecuteForked call
+	// and valBuf their parameter values; each of those entry points
+	// truncates both when it starts, and every result it returns is a
+	// disjoint window of them.
+	outBuf []Output
+	valBuf []Value
 
 	// frames is the call-frame stack, reused across calls: the first nres
 	// are reserved. A call reserves its frame before evaluating arguments,
@@ -177,14 +186,14 @@ func (e *FaultError) Error() string {
 
 // finish is deferred around every entry point. It converts an escaping panic
 // into a *FaultError labelled op+name (built only then) and drops the
-// references to the caller's state; begin resets everything else.
+// references to the caller's state and parameters; begin resets everything
+// else except the output buffers.
 func (e *Exec) finish(op, name string, err *error) {
 	if r := recover(); r != nil {
 		*err = &FaultError{Op: op + name, Panic: r, Stack: debug.Stack()}
 	}
 	e.state = nil
 	e.interParams = nil
-	e.outputs = nil
 }
 
 // Contained reports whether err is a per-transition execution failure
@@ -215,9 +224,12 @@ func (e *Exec) NewState() *State {
 }
 
 // RunInit creates a fresh state and executes the initialize transition,
-// returning the state and any outputs the initialize block produced.
+// returning the state and any outputs the initialize block produced. The
+// outputs are valid until the next RunInit, Execute or ExecuteForked call on
+// e.
 func (e *Exec) RunInit() (st *State, outs []Output, err error) {
 	defer e.finish("initialize transition", "", &err)
+	e.resetOutputs()
 	st = e.NewState()
 	e.begin(st, nil, nil)
 	if e.code.init != nil {
@@ -225,7 +237,7 @@ func (e *Exec) RunInit() (st *State, outs []Output, err error) {
 			return nil, nil, err
 		}
 	}
-	return st, e.takeOutputs(), nil
+	return st, e.outputsFrom(0), nil
 }
 
 // transCode returns ti's compiled code, refusing a transition of another
@@ -263,22 +275,24 @@ func (e *Exec) EvalProvided(st *State, ti *sema.TransInfo, params []Value) (ok b
 
 // Execute runs transition ti against st in place (the paper's Update
 // operation), binding params as the consumed interaction's parameters, and
-// returns the outputs the block produced. The caller must snapshot st first
-// if it needs to backtrack. Execute must not be used in partial mode when the
-// block may fork; use ExecuteForked there.
+// returns the outputs the block produced, valid until the next RunInit,
+// Execute or ExecuteForked call on e. The caller must snapshot st first if it
+// needs to backtrack. Execute must not be used in partial mode when the block
+// may fork; use ExecuteForked there.
 func (e *Exec) Execute(st *State, ti *sema.TransInfo, params []Value) (outs []Output, err error) {
 	tc, err := e.transCode(ti)
 	if err != nil {
 		return nil, err
 	}
 	defer e.finish("transition ", ti.Name, &err)
+	e.resetOutputs()
 	if err := e.run(tc, st, params, nil); err != nil {
 		return nil, err
 	}
 	if ti.To >= 0 {
 		st.FSM = ti.To
 	}
-	return e.takeOutputs(), nil
+	return e.outputsFrom(0), nil
 }
 
 // run executes tc's block against st.
@@ -297,11 +311,14 @@ func (e *Exec) run(tc *transCode, st *State, params []Value, decisions []bool) e
 // assignment of undefined branch conditions up to Limits.MaxForks. In normal
 // (non-partial) mode it returns exactly one result. Branches that hit runtime
 // errors are dropped; if every branch errors, the first error is returned.
+// Each result's Outputs are its own window of e's output buffers, valid until
+// the next RunInit, Execute or ExecuteForked call on e.
 func (e *Exec) ExecuteForked(st *State, ti *sema.TransInfo, params []Value) ([]TransResult, error) {
 	tc, err := e.transCode(ti)
 	if err != nil {
 		return nil, err
 	}
+	e.resetOutputs()
 	queue := [][]bool{nil}
 	var results []TransResult
 	var firstErr error
@@ -319,10 +336,11 @@ func (e *Exec) ExecuteForked(st *State, ti *sema.TransInfo, params []Value) ([]T
 		// fault on one branch leaves the siblings explorable.
 		outs, used, err := func() (outs []Output, used int, err error) {
 			defer e.finish("transition ", ti.Name, &err)
+			mark := len(e.outBuf)
 			if err := e.run(tc, snap, params, d); err != nil {
 				return nil, e.decUsed, err
 			}
-			return e.takeOutputs(), e.decUsed, nil
+			return e.outputsFrom(mark), e.decUsed, nil
 		}()
 		// Enqueue the sibling branches discovered during this run: defaults
 		// beyond the provided vector were false, so each position between
@@ -356,17 +374,28 @@ func (e *Exec) ExecuteForked(st *State, ti *sema.TransInfo, params []Value) ([]T
 func (e *Exec) begin(st *State, params []Value, decisions []bool) {
 	e.state = st
 	e.interParams = params
-	e.outputs = nil
 	e.steps = 0
 	e.nres, e.calls, e.cur = 0, 0, nil
 	e.decisions = decisions
 	e.decUsed = 0
 }
 
-func (e *Exec) takeOutputs() []Output {
-	out := e.outputs
-	e.outputs = nil
-	return out
+// resetOutputs empties the output buffers. Only the entry points that
+// return outputs call it, never begin, so that the results of one
+// ExecuteForked call keep disjoint windows.
+func (e *Exec) resetOutputs() {
+	e.outBuf, e.valBuf = e.outBuf[:0], e.valBuf[:0]
+}
+
+// outputsFrom returns the outputs buffered from index mark on, nil when there
+// are none. The window's capacity ends at its length, so a caller's append
+// cannot overwrite a later window.
+func (e *Exec) outputsFrom(mark int) []Output {
+	end := len(e.outBuf)
+	if end == mark {
+		return nil
+	}
+	return e.outBuf[mark:end:end]
 }
 
 // decide consumes the next branch decision in partial mode.
@@ -736,15 +765,23 @@ func (c *compiler) output(s *ast.OutputStmt) stmtFn {
 			}
 			ip += off
 		}
-		params := make([]Value, len(args))
-		for i, a := range args {
+		// The arguments go to valBuf and the output takes a full-slice
+		// window of them. No argument can emit an output between these
+		// appends: sema rejects output statements inside functions and
+		// procedures.
+		start := len(e.valBuf)
+		for _, a := range args {
 			v, err := a(e)
 			if err != nil {
 				return err
 			}
-			params[i] = v
+			e.valBuf = append(e.valBuf, v)
 		}
-		e.outputs = append(e.outputs, Output{IP: ip, Inter: inter, Params: params})
+		var params []Value
+		if end := len(e.valBuf); end > start {
+			params = e.valBuf[start:end:end]
+		}
+		e.outBuf = append(e.outBuf, Output{IP: ip, Inter: inter, Params: params})
 		return nil
 	}
 }

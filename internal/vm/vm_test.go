@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -620,5 +621,85 @@ func TestHeapErrors(t *testing.T) {
 	}
 	if err := h.Dispose(addr); err == nil {
 		t.Error("double dispose after free")
+	}
+}
+
+// TestOutputsValidUntilNextCall pins the Exec output contract: the outputs of
+// one RunInit, Execute or ExecuteForked call, with their Params, stay intact
+// until the next of those calls on the same Exec (a guard evaluated in
+// between leaves them alone), and each ExecuteForked result keeps its own.
+func TestOutputsValidUntilNextCall(t *testing.T) {
+	prog := compileBody(t, `
+state S0;
+initialize to S0 begin output P.r(7) end;
+trans
+  from S0 to S0 when P.m name T1: begin if v = 1 then output P.r(10) else output P.r(20) end;
+  from S0 to S0 when P.m provided v > 5 name T2: begin end;
+`)
+	t1, t2 := prog.Trans[0], prog.Trans[1]
+	vals := func(outs []Output) []int64 {
+		var got []int64
+		for _, o := range outs {
+			if cap(o.Params) != len(o.Params) {
+				t.Errorf("output %s: Params cap %d, len %d; a caller's append could overwrite the next output",
+					o, cap(o.Params), len(o.Params))
+			}
+			for _, p := range o.Params {
+				got = append(got, p.I)
+			}
+		}
+		return got
+	}
+	check := func(what string, outs []Output, want ...int64) {
+		t.Helper()
+		if got := vals(outs); !slices.Equal(got, want) {
+			t.Errorf("%s: outputs %v, want %v", what, got, want)
+		}
+	}
+
+	e := New(Compile(prog))
+	st, initOuts, err := e.RunInit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EvalProvided(st, t2, []Value{MakeInt(9)}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunInit, after a guard", initOuts, 7)
+
+	outs, err := e.Execute(st, t1, []Value{MakeInt(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(outs) != len(outs) {
+		t.Errorf("Execute outputs: cap %d, len %d", cap(outs), len(outs))
+	}
+	if _, err := e.EvalProvided(st, t2, []Value{MakeInt(9)}); err != nil {
+		t.Fatal(err)
+	}
+	check("Execute v=1, after a guard", outs, 10)
+	outs, err = e.Execute(st, t1, []Value{MakeInt(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Execute v=2", outs, 20)
+
+	// An undefined v forks T1 into both branches; each result keeps the
+	// output of its own branch.
+	e.Partial = true
+	results, err := e.ExecuteForked(st, t1, []Value{UndefValue(types.Int)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for i, r := range results {
+		if len(r.Outputs) != 1 {
+			t.Fatalf("result %d: %d outputs, want 1", i, len(r.Outputs))
+		}
+		got = append(got, vals(r.Outputs)...)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, []int64{10, 20}) {
+		t.Errorf("forked outputs %v, want [10 20]", got)
 	}
 }

@@ -158,6 +158,9 @@ func (s *Spec) IPs() []string {
 func (s *Spec) Internal() *efsm.Spec { return s.inner }
 
 // Analyzer is a generated trace-analysis module (TAM) for one specification.
+// It may analyze several traces in turn; a reused Analyzer keeps the trace
+// and search-node storage of the largest trace it has analyzed, and reuses it
+// for the next.
 type Analyzer struct {
 	inner *analysis.Analyzer
 }
