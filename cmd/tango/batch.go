@@ -15,7 +15,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
-	"repro/internal/supervise"
 	"repro/tango"
 )
 
@@ -25,9 +24,9 @@ import (
 // order whatever the worker count, and the exit code aggregates the per-trace
 // classes (see README "tango batch").
 //
-// With -supervise (or any of -job-timeout, -checkpoint, -resume, -throttle)
-// the pool runs under the crash-only supervisor: panicking or wedged workers
-// are torn down and respawned, their jobs requeued with backoff and bounded
+// -supervise (or any of -job-timeout, -max-attempts, -breaker, -backoff,
+// -throttle, -checkpoint, -resume) turns on the pool's crash-only limits:
+// panicking or wedged workers' jobs are requeued with backoff and bounded
 // attempts, and repeat offenders quarantined. -checkpoint journals every
 // sealed row so a killed run can continue with -resume, which restores the
 // finished rows verbatim and exits 6 when the completed run is clean.
@@ -52,7 +51,7 @@ func runBatch(args []string, w, ew io.Writer) error {
 	traceJSONL := fs.String("trace-jsonl", "", "write structured search events (tango.trace/1 JSONL) to this file")
 	coverOut := fs.String("cover", "", "record spec coverage and write the merged tango.cover/1 report to this file")
 	flight := fs.Int("flight", 64, "per-worker flight recorder size; bad verdicts dump the tail into report rows (0 = off)")
-	supPool := fs.Bool("supervise", false, "run the pool under the crash-only supervisor")
+	supPool := fs.Bool("supervise", false, "requeue jobs whose worker panicked or wedged, and quarantine repeat offenders")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job watchdog deadline under -supervise (0 = none)")
 	maxAttempts := fs.Int("max-attempts", 0, "dispatch attempts per job under -supervise (default 3)")
 	breaker := fs.Int("breaker", 0, "worker kills before a job is quarantined (default 3)")
@@ -66,6 +65,9 @@ func runBatch(args []string, w, ew io.Writer) error {
 	rest := fs.Args()
 	if len(rest) < 2 {
 		return usageError{}
+	}
+	if *coverOut != "" && *resumeDir != "" {
+		return fmt.Errorf("-cover is not supported with -resume: restored rows carry no coverage counts (use -cover on a fresh run, or tango cover)")
 	}
 	spec, err := compileArg(rest[0])
 	if err != nil {
@@ -104,12 +106,22 @@ func runBatch(args []string, w, ew io.Writer) error {
 		Shuffle:        *shuffle,
 		Seed:           *seed,
 		HeartbeatEvery: *progressEvery,
+		JobTimeout:     *jobTimeout,
+		MaxAttempts:    *maxAttempts,
+		BreakerKills:   *breaker,
+		Backoff:        *backoff,
+	}
+	if *supPool || *jobTimeout > 0 || *throttle > 0 || *maxAttempts > 0 || *breaker > 0 ||
+		*backoff > 0 || *ckptDir != "" || *resumeDir != "" {
+		if bopts.MaxAttempts <= 0 {
+			bopts.MaxAttempts = 3
+		}
+		if bopts.BreakerKills <= 0 {
+			bopts.BreakerKills = 3
+		}
 	}
 	if *progress {
 		bopts.OnHeartbeat = func(hb batch.Heartbeat) { fmt.Fprintln(ew, "progress:", hb) }
-	}
-	if *reportPath != "" {
-		bopts.Metrics = obs.NewRegistry()
 	}
 	if *traceJSONL != "" {
 		f, err := os.Create(*traceJSONL)
@@ -128,10 +140,10 @@ func runBatch(args []string, w, ew io.Writer) error {
 		bopts.Tracer = sink
 	}
 
-	// SIGINT/SIGTERM cancel the shared context: in-flight analyses stop at
-	// their next expansion, remaining items drain as skipped, the journal
-	// keeps every row sealed so far, and the deferred sinks flush. A second
-	// signal forces exit.
+	// SIGINT/SIGTERM cancel the shared context: nothing more is dispatched,
+	// in-flight analyses stop at their next expansion, remaining items drain
+	// as skipped, the journal keeps every row sealed before the signal, and
+	// the deferred sinks flush. A second signal forces exit.
 	ctx, stopSignals := shutdownContext(context.Background(), ew)
 	defer stopSignals()
 	if *deadline > 0 {
@@ -139,108 +151,73 @@ func runBatch(args []string, w, ew io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-
-	supervised := *supPool || *jobTimeout > 0 || *throttle > 0 ||
-		*maxAttempts > 0 || *breaker > 0 || *backoff > 0 ||
-		*ckptDir != "" || *resumeDir != ""
-	if *coverOut != "" && supervised {
-		// Coverage folding lives in the plain pool; the supervisor's
-		// restart/requeue machinery would double-count re-attempted traces.
-		return fmt.Errorf("-cover is not supported with -supervise/-checkpoint/-resume (use tango cover, or a plain batch run)")
-	}
-	if !supervised {
-		res, err := batch.Run(ctx, spec.Internal(), items, bopts)
-		if err != nil {
-			return err
-		}
-		printBatch(w, res)
-		if *reportPath != "" {
-			rep := batch.BuildReport(rest[0], mode.String(), spec.Internal(), bopts, res)
-			if err := rep.WriteFile(*reportPath); err != nil {
-				return err
+	if d := *throttle; d > 0 {
+		// Widen the kill window for crash drills and the kill-resume test.
+		bopts.FaultHook = func(int, batch.Item) {
+			t := time.NewTimer(d)
+			defer t.Stop()
+			select {
+			case <-t.C:
+			case <-ctx.Done():
 			}
 		}
-		if *coverOut != "" && res.Coverage != nil {
-			analyzed := 0
-			for i := range res.Items {
-				if res.Items[i].Res != nil && res.Items[i].Res.Coverage != nil {
-					analyzed++
-				}
-			}
-			cr, err := analysis.BuildCoverReport(rest[0], spec.Internal(), res.Coverage, analyzed)
-			if err != nil {
-				return err
-			}
-			if err := cr.WriteFile(*coverOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "coverage: %s\n", coverSummaryLine(cr))
-		}
-		return batchExitError(res)
 	}
 
-	// Supervised path: wire the journal (fresh or resumed) and run.
 	meta := checkpoint.BatchMeta{
 		SpecDigest:   analysis.SpecDigest(spec.Internal()),
 		CorpusDigest: corpusDigest(items),
 		Mode:         mode.String(),
 		NumItems:     len(items),
 	}
-	var (
-		journal *checkpoint.BatchLog
-		done    map[int]obs.BatchItem
-	)
-	resumedRun := false
 	switch {
 	case *resumeDir != "":
-		journal, done, err = openResume(filepath.Join(*resumeDir, checkpoint.JournalFile), meta, ew)
+		bopts.Journal, bopts.Done, err = openResume(filepath.Join(*resumeDir, checkpoint.JournalFile), meta, ew)
 		if err != nil {
 			return err
 		}
-		resumedRun = true
 	case *ckptDir != "":
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return err
 		}
-		journal, err = checkpoint.CreateBatchLog(filepath.Join(*ckptDir, checkpoint.JournalFile))
+		bopts.Journal, err = checkpoint.CreateBatchLog(filepath.Join(*ckptDir, checkpoint.JournalFile))
 		if err != nil {
 			return err
 		}
-		if err := journal.Admit(meta); err != nil {
-			journal.Close()
+		if err := bopts.Journal.Admit(meta); err != nil {
+			bopts.Journal.Close()
 			return err
 		}
 	}
-	if journal != nil {
-		defer journal.Close()
+	if bopts.Journal != nil {
+		defer bopts.Journal.Close()
 	}
 
-	sres, err := supervise.Run(ctx, spec.Internal(), items, supervise.Options{
-		Pool:         bopts,
-		JobTimeout:   *jobTimeout,
-		MaxAttempts:  *maxAttempts,
-		BreakerKills: *breaker,
-		Backoff:      *backoff,
-		Throttle:     *throttle,
-		Journal:      journal,
-		Done:         done,
-	})
+	res, err := batch.Run(ctx, spec.Internal(), items, bopts)
 	if err != nil {
 		return err
 	}
-	if sres.JournalFailures > 0 {
+	if res.JournalFailures > 0 {
 		fmt.Fprintf(ew, "tango: warning: checkpoint journal failed to record %d rows (first error: %v); -resume will analyze them again\n",
-			sres.JournalFailures, sres.JournalErr)
+			res.JournalFailures, res.JournalErr)
 	}
-	printSupervised(w, sres)
+	printBatch(w, res)
 	if *reportPath != "" {
-		rep := supervise.BuildReport(rest[0], mode.String(), spec.Internal(),
-			supervise.Options{Pool: bopts}, sres)
+		rep := batch.BuildReport(rest[0], mode.String(), spec.Internal(), bopts, res)
 		if err := rep.WriteFile(*reportPath); err != nil {
 			return err
 		}
 	}
-	return supervisedExitError(sres, resumedRun)
+	if *coverOut != "" {
+		cr, err := res.CoverReport(rest[0], spec.Internal())
+		if err != nil {
+			return err
+		}
+		if err := cr.WriteFile(*coverOut); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "coverage: %s\n", coverSummaryLine(cr))
+	}
+	return batchExitError(res, *resumeDir != "")
 }
 
 // corpusDigest fingerprints the corpus identity (names and expectations, in
@@ -281,63 +258,44 @@ func openResume(path string, meta checkpoint.BatchMeta, ew io.Writer) (*checkpoi
 	return journal, b.Rows, nil
 }
 
-// printBatch renders the per-item lines (corpus order) and the summary.
+// printBatch renders the per-item lines (corpus order) and the summary. A
+// restored row prints from its journal record, marked [resumed]; a job
+// dispatched more than once is marked with its attempt count.
 func printBatch(w io.Writer, res *batch.Result) {
 	for i := range res.Items {
 		r := &res.Items[i]
-		status := itemStatus(r)
-		switch {
+		fmt.Fprintf(w, "%-5s %-40s ", itemStatus(r), r.Item.Name)
+		unexplained := ""
+		switch row := r.Restored; {
+		case row != nil && row.Error != "":
+			fmt.Fprint(w, row.Error)
+		case row != nil:
+			fmt.Fprintf(w, "%s (TE=%d, %s)", row.Verdict, row.Search.TE,
+				(time.Duration(row.WallUS) * time.Microsecond).Round(time.Microsecond))
 		case r.Err != nil:
-			fmt.Fprintf(w, "%-5s %-40s %v\n", status, r.Item.Name, r.Err)
+			fmt.Fprint(w, r.Err)
 		case r.Skipped:
-			fmt.Fprintf(w, "%-5s %-40s %s\n", status, r.Item.Name, r.Res.Reason)
+			fmt.Fprint(w, r.Res.Reason)
 		default:
-			fmt.Fprintf(w, "%-5s %-40s %s (TE=%d, %s)\n",
-				status, r.Item.Name, r.Res.Verdict, r.Res.Stats.TE, r.Elapsed.Round(time.Microsecond))
+			fmt.Fprintf(w, "%s (TE=%d, %s)", r.Res.Verdict, r.Res.Stats.TE, r.Elapsed.Round(time.Microsecond))
 			if d := r.Res.Diagnosis; d != nil && d.FirstUnexplained != "" && (r.Match == nil || !*r.Match) {
-				fmt.Fprintf(w, "        first unexplained: %s\n", d.FirstUnexplained)
+				unexplained = d.FirstUnexplained
 			}
+		}
+		switch {
+		case r.Restored != nil:
+			fmt.Fprint(w, " [resumed]")
+		case r.Attempts > 1:
+			fmt.Fprintf(w, " [attempt %d]", r.Attempts)
+		}
+		fmt.Fprintln(w)
+		if unexplained != "" {
+			fmt.Fprintf(w, "        first unexplained: %s\n", unexplained)
 		}
 	}
 	c := res.Counts
 	fmt.Fprintf(w, "batch: %d traces, %d workers, %s: %d valid, %d invalid, %d inconclusive, %d bad, %d errors",
 		len(res.Items), res.Workers, res.Wall.Round(time.Millisecond),
-		c.Valid, c.Invalid, c.Inconclusive, c.BadTrace, c.Errors)
-	if c.Skipped > 0 {
-		fmt.Fprintf(w, ", %d skipped", c.Skipped)
-	}
-	if c.Mismatches > 0 {
-		fmt.Fprintf(w, ", %d expectation mismatches", c.Mismatches)
-	}
-	fmt.Fprintf(w, " (exit %d)\n", res.ExitCode)
-}
-
-// printSupervised renders a supervised run with the same row format as
-// printBatch, plus the supervision outcomes.
-func printSupervised(w io.Writer, res *supervise.Result) {
-	for i := range res.Rows {
-		r := &res.Rows[i]
-		status := rowStatus(r)
-		line := fmt.Sprintf("%-5s %-40s", status, r.Trace)
-		switch {
-		case r.Error != "":
-			line += " " + r.Error
-		case r.Skipped:
-			line += " skipped: " + r.StopReason
-		default:
-			line += fmt.Sprintf(" %s (TE=%d, %s)", r.Verdict, r.Search.TE,
-				(time.Duration(r.WallUS) * time.Microsecond).Round(time.Microsecond))
-		}
-		if r.Resumed {
-			line += " [resumed]"
-		} else if r.Attempts > 1 {
-			line += fmt.Sprintf(" [attempt %d]", r.Attempts)
-		}
-		fmt.Fprintln(w, line)
-	}
-	c := res.Counts
-	fmt.Fprintf(w, "batch: %d traces, %d workers, %s: %d valid, %d invalid, %d inconclusive, %d bad, %d errors",
-		len(res.Rows), res.Workers, res.Wall.Round(time.Millisecond),
 		c.Valid, c.Invalid, c.Inconclusive, c.BadTrace, c.Errors)
 	if c.Skipped > 0 {
 		fmt.Fprintf(w, ", %d skipped", c.Skipped)
@@ -360,20 +318,9 @@ func printSupervised(w io.Writer, res *supervise.Result) {
 	fmt.Fprintf(w, " (exit %d)\n", res.ExitCode)
 }
 
-// itemStatus labels one result line: PASS/FAIL against a manifest
-// expectation, otherwise the verdict class.
+// itemStatus labels one result line: QUAR for a quarantined job, PASS/FAIL
+// against a manifest expectation, otherwise the verdict class.
 func itemStatus(r *batch.ItemResult) string {
-	if r.Match != nil {
-		if *r.Match {
-			return "PASS"
-		}
-		return "FAIL"
-	}
-	return classStatus(r.Class)
-}
-
-// rowStatus is itemStatus for an already-serialized report row.
-func rowStatus(r *obs.BatchItem) string {
 	if r.Quarantined {
 		return "QUAR"
 	}
@@ -383,7 +330,7 @@ func rowStatus(r *obs.BatchItem) string {
 		}
 		return "FAIL"
 	}
-	return classStatus(r.ExitClass)
+	return classStatus(r.Class)
 }
 
 func classStatus(class int) string {
@@ -401,28 +348,13 @@ func classStatus(class int) string {
 	}
 }
 
-// batchExitError maps the aggregate exit code to the CLI error taxonomy.
-func batchExitError(res *batch.Result) error {
+// batchExitError maps the aggregate exit code to the CLI error taxonomy; a
+// clean run that restored rows from a -resume checkpoint exits 6 instead of
+// 0.
+func batchExitError(res *batch.Result, resumed bool) error {
 	switch res.ExitCode {
 	case batch.ClassOK:
-		return nil
-	case batch.ClassInvalid:
-		return errNotValid
-	case batch.ClassInconclusive:
-		return errInconclusive
-	case batch.ClassBadTrace:
-		return &codeError{exitBadTrace, fmt.Errorf("batch: %d malformed traces", res.Counts.BadTrace)}
-	default:
-		return fmt.Errorf("batch: %d traces failed with operational errors", res.Counts.Errors)
-	}
-}
-
-// supervisedExitError is batchExitError for a supervised run; a clean run
-// that restored rows from a resume checkpoint exits 6 instead of 0.
-func supervisedExitError(res *supervise.Result, resumedRun bool) error {
-	switch res.ExitCode {
-	case batch.ClassOK:
-		if resumedRun {
+		if resumed {
 			return errResumedOK
 		}
 		return nil

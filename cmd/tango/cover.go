@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/batch"
 	"repro/internal/obs"
 	"repro/tango"
@@ -96,13 +95,7 @@ func runCover(args []string, w, ew io.Writer) error {
 	if res.Coverage == nil {
 		return fmt.Errorf("cover: no coverage collected")
 	}
-	analyzed := 0
-	for i := range res.Items {
-		if res.Items[i].Res != nil && res.Items[i].Res.Coverage != nil {
-			analyzed++
-		}
-	}
-	cr, err := analysis.BuildCoverReport(rest[0], spec.Internal(), res.Coverage, analyzed)
+	cr, err := res.CoverReport(rest[0], spec.Internal())
 	if err != nil {
 		return err
 	}

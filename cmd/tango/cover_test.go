@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -116,12 +117,52 @@ func TestBatchCoverFlag(t *testing.T) {
 	}
 }
 
-func TestBatchCoverRejectsSupervise(t *testing.T) {
+// TestBatchCoverSupervisedAndResume: -cover under -supervise or -checkpoint
+// writes the same cover.json as a plain -cover run, and -cover -resume is
+// refused, because restored rows carry no coverage counts.
+func TestBatchCoverSupervisedAndResume(t *testing.T) {
 	spec := write(t, "ack.estelle", specs.Ack)
-	tr := write(t, "t.trace", ackValid)
-	_, err := runCLI(t, "batch", "-cover", filepath.Join(t.TempDir(), "c.json"), "-supervise", spec, tr)
-	if err == nil || !strings.Contains(err.Error(), "-cover") {
-		t.Fatalf("err = %v, want the -cover/-supervise rejection", err)
+	t1 := write(t, "t1.trace", ackValid)
+	t2 := write(t, "t2.trace", ackInvalid)
+	dir := t.TempDir()
+	plain := filepath.Join(dir, "plain.json")
+	if out, err := runCLI(t, "batch", "-cover", plain, spec, t1, t2); !errors.Is(err, errNotValid) {
+		t.Fatalf("plain run: err = %v\n%s", err, out)
+	}
+	want, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		flags   []string
+		refused bool
+	}{
+		{"supervise", []string{"-supervise"}, false},
+		{"checkpoint", []string{"-checkpoint", filepath.Join(dir, "ck")}, false},
+		{"resume", []string{"-resume", filepath.Join(dir, "ck")}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(dir, tc.name+".json")
+			args := append(append([]string{"batch", "-cover", out}, tc.flags...), spec, t1, t2)
+			stdout, err := runCLI(t, args...)
+			if tc.refused {
+				if err == nil || !strings.Contains(err.Error(), "-cover is not supported with -resume") {
+					t.Fatalf("err = %v, want the -cover/-resume refusal", err)
+				}
+				return
+			}
+			if !errors.Is(err, errNotValid) {
+				t.Fatalf("err = %v (one trace is invalid)\n%s", err, stdout)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("cover.json differs from the plain run's:\n%s\n---\n%s", got, want)
+			}
+		})
 	}
 }
 

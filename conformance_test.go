@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/batch"
@@ -96,11 +97,12 @@ func TestCorpusConformance(t *testing.T) {
 	}
 }
 
-// TestBatchReportDeterminism runs every corpus at -j 1, -j 8 and shuffled
-// dispatch orders, under several option sets: the normalized reports, search
-// counters and flight tails included, must be byte-identical. Each worker's
-// Session reuses its analyzer, and so its trace and search-node storage,
-// across a different sequence of traces in every run.
+// TestBatchReportDeterminism runs every corpus at -j 1, -j 8, shuffled
+// dispatch orders and with the supervision limits of `tango batch -supervise
+// -job-timeout 1m`, under several option sets: the normalized reports,
+// search counters and flight tails included, must be byte-identical. Each
+// worker's Session reuses its analyzer, and so its trace and search-node
+// storage, across a different sequence of traces in every run.
 func TestBatchReportDeterminism(t *testing.T) {
 	optionSets := []struct {
 		name, order string
@@ -129,6 +131,7 @@ func TestBatchReportDeterminism(t *testing.T) {
 				{Workers: 8, Analysis: aopts},
 				{Workers: 8, Analysis: aopts, Shuffle: true, Seed: 1},
 				{Workers: 2, Analysis: aopts, Shuffle: true, Seed: 99},
+				{Workers: 8, Analysis: aopts, MaxAttempts: 3, BreakerKills: 3, JobTimeout: time.Minute},
 			} {
 				res, err := batch.Run(context.Background(), spec, items, o)
 				if err != nil {

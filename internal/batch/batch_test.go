@@ -195,14 +195,12 @@ func TestHeartbeatsAndMetrics(t *testing.T) {
 		}
 		items = append(items, Item{Name: "t" + string(rune('0'+i)), Trace: tr})
 	}
-	reg := obs.NewRegistry()
 	rec := &obs.Recorder{}
 	var mu sync.Mutex
 	var beats []Heartbeat
 	res, err := Run(context.Background(), spec, items, Options{
 		Workers:        2,
 		Analysis:       analysis.Options{Order: analysis.OrderFull},
-		Metrics:        reg,
 		Tracer:         rec,
 		HeartbeatEvery: time.Nanosecond,
 		OnHeartbeat: func(hb Heartbeat) {
@@ -228,10 +226,6 @@ func TestHeartbeatsAndMetrics(t *testing.T) {
 	}
 	if completed != len(items) {
 		t.Fatalf("%d completion beats, want %d", completed, len(items))
-	}
-	sc := reg.Scalars()
-	if sc["batch.done"] != int64(len(items)) || sc["batch.valid"] != int64(len(items)) {
-		t.Fatalf("metrics: %v", sc)
 	}
 	// The shared tracer saw every worker's search bracketed by start/end.
 	starts := 0
@@ -384,7 +378,7 @@ func TestWorkerPanicContained(t *testing.T) {
 	spec := compileSpec(t, "echo", specs.Echo)
 	items := echoCorpus(t, spec, 3)
 	opts := Options{Workers: 2, Analysis: analysis.Options{Order: analysis.OrderFull}}
-	opts.testHook = func(it Item) {
+	opts.FaultHook = func(_ int, it Item) {
 		if it.Name == "valid-b" {
 			panic("injected analyzer fault")
 		}
@@ -418,6 +412,9 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 	if res.Counts.Errors != 1 || res.ExitCode != ClassError {
 		t.Fatalf("counts %+v exit %d, want one error and exit %d", res.Counts, res.ExitCode, ClassError)
+	}
+	if res.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1: the panicked worker's Session is replaced", res.Restarts)
 	}
 	rep := BuildReport("spec", "full", spec, opts, res)
 	row := rep.Items[1]

@@ -28,34 +28,46 @@ func BuildReport(specPath, mode string, spec *efsm.Spec, opts Options, res *Resu
 		rep.Items[i] = ReportItem(&res.Items[i])
 	}
 	if res.Coverage != nil {
-		// The merged tango.cover/1 section: row counts are the sum of the
-		// per-trace snapshots folded by Run.
-		analyzed := 0
-		for i := range res.Items {
-			if res.Items[i].Res != nil && res.Items[i].Res.Coverage != nil {
-				analyzed++
-			}
-		}
-		if cov, err := analysis.BuildCoverReport(specPath, spec, res.Coverage, analyzed); err == nil {
+		if cov, err := res.CoverReport(specPath, spec); err == nil {
 			rep.Coverage = cov
 		}
 	}
 	return rep
 }
 
-// ReportItem converts one item result into its tango.batch/1 row. The
-// supervisor reuses it so supervised and plain runs serialize rows
-// identically — the byte-identity contract between resumed and uninterrupted
-// reports depends on there being exactly one serializer.
+// CoverReport builds the merged tango.cover/1 report of a run that recorded
+// coverage (Result.Coverage non-nil): its counts are the sum of the
+// per-trace snapshots Run folded, over the traces that were analyzed.
+func (res *Result) CoverReport(specPath string, spec *efsm.Spec) (*obs.CoverReport, error) {
+	analyzed := 0
+	for i := range res.Items {
+		if r := res.Items[i].Res; r != nil && r.Coverage != nil {
+			analyzed++
+		}
+	}
+	return analysis.BuildCoverReport(specPath, spec, res.Coverage, analyzed)
+}
+
+// ReportItem converts one item result into its tango.batch/1 row; a restored
+// item's row is the journal's, verbatim. serve's /v1/batch uses it too, so
+// every batch row has exactly one serializer — the byte-identity contract
+// between resumed and uninterrupted reports depends on that.
 func ReportItem(r *ItemResult) obs.BatchItem {
+	if r.Restored != nil {
+		return *r.Restored
+	}
 	bi := obs.BatchItem{
-		Trace:     r.Item.name(),
-		ExitClass: r.Class,
-		Skipped:   r.Skipped,
-		Expect:    r.Item.Expect,
-		Match:     r.Match,
-		Worker:    r.Worker,
-		WallUS:    r.Elapsed.Microseconds(),
+		Trace:       r.Item.name(),
+		ExitClass:   r.Class,
+		Skipped:     r.Skipped,
+		Expect:      r.Item.Expect,
+		Match:       r.Match,
+		Quarantined: r.Quarantined,
+		Worker:      r.Worker,
+		WallUS:      r.Elapsed.Microseconds(),
+	}
+	if r.Attempts > 1 {
+		bi.Attempts = r.Attempts
 	}
 	switch {
 	case r.Err != nil:

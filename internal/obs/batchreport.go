@@ -50,9 +50,10 @@ type BatchItem struct {
 	// Scheduling/timing detail; cleared by Normalize.
 	Worker int   `json:"worker"`
 	WallUS int64 `json:"wall_us"`
-	// Attempts counts supervised dispatches of this job (1 for a clean run);
-	// Resumed marks a row restored verbatim from a checkpoint journal. Both
-	// depend on when crashes and kills happened, so Normalize clears them.
+	// Attempts counts the dispatches of a job dispatched more than once (0
+	// for a job dispatched once); Resumed marks a row restored verbatim from
+	// a checkpoint journal. Both depend on when crashes and kills happened,
+	// so Normalize clears them.
 	Attempts int  `json:"attempts,omitempty"`
 	Resumed  bool `json:"resumed,omitempty"`
 }

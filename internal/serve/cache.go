@@ -34,7 +34,7 @@ type specEntry struct {
 	// panics counts contained analysis panics attributed to this spec; at
 	// the server's breaker threshold the spec is quarantined and further
 	// requests for it are refused without running (the poisoned-spec circuit
-	// breaker, mirroring internal/supervise).
+	// breaker, mirroring batch.Options.BreakerKills).
 	panics atomic.Int64
 
 	lastUsed uint64 // LRU clock value, guarded by the cache mutex

@@ -22,7 +22,8 @@
 //   - per-request panic containment: a panicking analysis answers 500
 //     without taking the daemon down, the panic is attributed to its spec,
 //     and a spec that keeps killing workers trips a circuit breaker and is
-//     quarantined (503) — the internal/supervise recipe applied to serving;
+//     quarantined (503) — the crash-only recipe of internal/batch applied to
+//     serving;
 //   - crash-only durability: with a Store configured, uploaded specs persist
 //     as CRC-framed fsynced snapshots and every accepted /v1/batch is
 //     journaled; a restarted daemon re-warms its spec cache from disk,
@@ -113,7 +114,7 @@ type Options struct {
 
 	// FaultHook, when non-nil, runs on the worker goroutine just before
 	// each analysis with the spec digest — the chaos tests' panic injection
-	// point, mirroring supervise.Options.FaultHook. Leave nil in production.
+	// point, mirroring batch.Options.FaultHook. Leave nil in production.
 	FaultHook func(digest string)
 }
 

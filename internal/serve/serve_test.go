@@ -17,7 +17,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/batch"
 	"repro/internal/efsm"
-	"repro/internal/supervise"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/specs"
@@ -439,7 +438,9 @@ func TestBatchAggregatesLikeTangoBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sup, err := supervise.Run(context.Background(), spec, items, supervise.Options{Pool: pool})
+			supervised := pool
+			supervised.MaxAttempts, supervised.BreakerKills = 3, 3
+			sup, err := batch.Run(context.Background(), spec, items, supervised)
 			if err != nil {
 				t.Fatal(err)
 			}

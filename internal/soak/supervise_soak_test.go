@@ -16,12 +16,11 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/efsm"
 	"repro/internal/obs"
-	"repro/internal/supervise"
 	"repro/internal/workload"
 	"repro/specs"
 )
 
-// TestSoakSuperviseKillResume hammers the supervisor with randomized fault
+// TestSoakSuperviseKillResume hammers the supervised pool with randomized fault
 // injection: every round runs a journaled batch whose workers panic or wedge
 // at random, then "crashes" it by replaying a random byte prefix of the
 // journal into a resumed run, and checks the invariants that survive any such schedule —
@@ -54,10 +53,11 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 		}
 		items = append(items, batch.Item{Name: "echo-" + strconv.Itoa(i), Trace: tr, Expect: batch.ExpectValid})
 	}
-	pool := batch.Options{Workers: 3, Analysis: analysis.Options{Order: analysis.OrderFull}}
+	pool := batch.Options{Workers: 3, Analysis: analysis.Options{Order: analysis.OrderFull},
+		MaxAttempts: 3, BreakerKills: 3}
 
 	// Fault-free reference verdicts.
-	ref, err := supervise.Run(context.Background(), spec, items, supervise.Options{Pool: pool})
+	ref, err := batch.Run(context.Background(), spec, items, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,9 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 		// a different crash schedule each round.
 		fr := rand.New(rand.NewSource(seed))
 		var frMu sync.Mutex // the hook runs on concurrent worker goroutines
-		opts := supervise.Options{
-			Pool:        pool,
-			Journal:     j,
-			MaxAttempts: 4,
-			GracePeriod: 20 * time.Millisecond,
-		}
+		opts := pool
+		opts.Journal = j
+		opts.MaxAttempts = 4
 		if fr.Intn(2) == 0 {
 			opts.JobTimeout = 50 * time.Millisecond
 		}
@@ -109,7 +106,7 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 				}
 			}
 		}
-		faulty, err := supervise.Run(context.Background(), spec, items, opts)
+		faulty, err := batch.Run(context.Background(), spec, items, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -138,8 +135,9 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 		if len(plan.Batches) == 1 {
 			done = plan.Batches[0].Rows
 		}
-		resumed, err := supervise.Run(context.Background(), spec, items,
-			supervise.Options{Pool: pool, Done: done})
+		resume := pool
+		resume.Done = done
+		resumed, err := batch.Run(context.Background(), spec, items, resume)
 		if err != nil {
 			t.Fatalf("seed %d: resume: %v", seed, err)
 		}
@@ -155,9 +153,9 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 
 // normalizeRows canonicalizes a supervised result for comparison across runs
 // with different fault schedules.
-func normalizeRows(t *testing.T, spec *efsm.Spec, pool batch.Options, res *supervise.Result) string {
+func normalizeRows(t *testing.T, spec *efsm.Spec, pool batch.Options, res *batch.Result) string {
 	t.Helper()
-	rep := supervise.BuildReport("spec", "full", spec, supervise.Options{Pool: pool}, res)
+	rep := batch.BuildReport("spec", "full", spec, pool, res)
 	rep.Normalize()
 	b, err := json.Marshal(rep.Items)
 	if err != nil {
