@@ -45,9 +45,11 @@ type Analyzer struct {
 	// cap at the floor and refute any deeper stream).
 	autoDepth bool
 
-	stats  Stats
+	stats Stats
+	// The sequential search's visited table (StateHashing) and dead-state
+	// memo (Memo), made when a search starts and dropped by foldPruneStats.
 	seen   *seenTable
-	memo   *deadMemo
+	memo   *memoStore[proof]
 	faults []string
 
 	// Search-node storage, kept across reset (see newNode and recycle): free
@@ -232,11 +234,7 @@ func (a *Analyzer) reset(traceLen int) {
 	a.eofSeen = false
 	a.stats = Stats{ParseTime: a.spec.Timing.Parse, CompileTime: a.spec.Timing.Check}
 	a.faults = nil
-	a.seen = nil
-	a.memo = nil // rebuilt lazily in searchLoop, sized from the root state
-	if a.opts.StateHashing {
-		a.seen = newSeenTable(a.opts.CollisionCheck)
-	}
+	a.seen, a.memo = nil, nil
 	if a.cov != nil {
 		a.cov.Reset() // per-run counts, so a reused Session snapshots per trace
 	}
@@ -294,20 +292,26 @@ func (a *Analyzer) FlightTail() []string {
 	return a.flight.TailStrings()
 }
 
-// foldPruneStats moves eviction/collision counters out of the live memo and
-// seen-set into Stats. Called whenever those structures are about to be
-// replaced (initial-state retries) and once at the end of the run.
+// foldPruneStats moves the eviction and collision counts of the memo and the
+// visited table into Stats and drops both tables, so the next search starts
+// with fresh ones. Called before each initial-state retry and once at the end
+// of the run.
 func (a *Analyzer) foldPruneStats() {
 	if a.memo != nil {
-		a.stats.MemoEvictions += a.memo.evictions
-		if a.mMemoEvict != nil {
-			a.mMemoEvict.Add(a.memo.evictions)
-		}
-		a.memo.evictions = 0
+		a.addPruneCounts(a.memo.counts())
 	}
 	if a.seen != nil {
-		a.stats.Collisions += a.seen.collisions
-		a.seen.collisions = 0
+		a.addPruneCounts(0, a.seen.Collisions())
+	}
+	a.seen, a.memo = nil, nil
+}
+
+// addPruneCounts adds memo evictions and fingerprint collisions to Stats.
+func (a *Analyzer) addPruneCounts(evictions, collisions int64) {
+	a.stats.MemoEvictions += evictions
+	a.stats.Collisions += collisions
+	if a.mMemoEvict != nil {
+		a.mMemoEvict.Add(evictions)
 	}
 }
 
@@ -382,14 +386,10 @@ func (a *Analyzer) AnalyzeTraceContext(ctx context.Context, tr *trace.Trace) (re
 			if st == a.spec.Prog.InitTo {
 				continue
 			}
-			a.foldPruneStats()
-			if a.seen != nil {
-				a.seen = newSeenTable(a.opts.CollisionCheck)
-			}
 			// Dead-state entries are forward-sound across retries, but a
 			// fresh memo keeps each retry's exploration (and therefore its
 			// diagnosis) byte-identical to a standalone run from that state.
-			a.memo = nil
+			a.foldPruneStats()
 			res2, err := a.search(ctx, nil, st, nil)
 			if err != nil {
 				return nil, err
@@ -511,21 +511,11 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 			return nil, err
 		}
 	}
+	if a.opts.StateHashing && a.seen == nil {
+		a.seen = newSeenTable(a.opts.CollisionCheck)
+	}
 	if a.opts.Memo && !a.opts.Partial && a.memo == nil {
-		// Size the memo from the root state: without an explicit budget,
-		// room for ~4096 states of this spec's footprint, clamped to
-		// [1 MiB, 64 MiB].
-		b := a.opts.MemoBytes
-		if b <= 0 {
-			b = 4096 * a.stateOf(root).ApproxBytes()
-			if b < 1<<20 {
-				b = 1 << 20
-			}
-			if b > 64<<20 {
-				b = 64 << 20
-			}
-		}
-		a.memo = newDeadMemo(b, a.opts.CollisionCheck)
+		a.memo = newMemoStore[proof](a.memoBudget(root), a.opts.CollisionCheck)
 	}
 	stack := append(a.stack[:0], root)
 	defer func() {
@@ -622,7 +612,7 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 				// optimization, kept sound here by clearing). The dead-state
 				// memo needs no clearing: it only ever records nodes proven
 				// dead after EOF, when the event lists are final.
-				a.stats.Collisions += a.seen.collisions
+				a.addPruneCounts(0, a.seen.Collisions())
 				a.seen = newSeenTable(a.opts.CollisionCheck)
 			}
 			if a.opts.Reorder && len(pgSaved) > 0 {
@@ -1038,16 +1028,31 @@ func releaseNode(n *node) {
 	n.saved, n.live = nil, nil
 }
 
-// memoizeDead records a popped node as proven non-accepting, when that is
-// actually proven: the node's candidate list was complete for the final
-// trace (post-EOF in dynamic mode), every candidate was explored, and no
-// part of the subtree was truncated, deferred, or parked. See DESIGN.md §10.
-func (a *Analyzer) memoizeDead(n *node) {
-	if a.memo == nil || !n.hashed || n.truncated || n.pg || len(n.deferred) > 0 ||
-		(a.dynamic && !a.eofSeen) || n.genLen != len(a.events) {
-		return
+// memoBudget is the dead-state memo's byte budget: Options.MemoBytes, or
+// room for ~4096 states of the root state's footprint, clamped to
+// [1 MiB, 64 MiB].
+func (a *Analyzer) memoBudget(root *node) int64 {
+	if a.opts.MemoBytes > 0 {
+		return a.opts.MemoBytes
 	}
-	a.memo.insert(n.fp, func() string { return n.canon })
+	return min(max(4096*a.stateOf(root).ApproxBytes(), 1<<20), 64<<20)
+}
+
+// provenDead reports whether the fully explored node n proves its subtree
+// non-accepting, so that the memo may record it: its candidate list was
+// complete for the final trace (post-EOF in dynamic mode), and no part of
+// the subtree was truncated, deferred, or parked. truncated is the engine's
+// truncation mark for n. See DESIGN.md §10.3.
+func (a *Analyzer) provenDead(n *node, truncated bool) bool {
+	return n.hashed && !truncated && !n.pg && len(n.deferred) == 0 &&
+		!(a.dynamic && !a.eofSeen) && n.genLen == len(a.events)
+}
+
+// memoizeDead records a popped node in the memo when it is proven dead.
+func (a *Analyzer) memoizeDead(n *node) {
+	if a.memo != nil && a.provenDead(n, n.truncated) {
+		a.memo.insert(n.fp, n.canon, proof{})
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1422,12 +1427,7 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 		n.truncated = true // the cut-off branch might have accepted
 		return nil, false, nil
 	}
-	via := Step{Trans: c.ti, EventSeq: evSpontaneous}
-	if c.eventIdx >= 0 {
-		via.EventSeq = a.events[c.eventIdx].Seq
-	} else if c.eventIdx == evSynthesized {
-		via.Synthesized = true
-	}
+	via := a.stepFor(c)
 
 	if a.opts.Partial {
 		// Forked execution: every feasible decision vector yields a seed.
@@ -1525,6 +1525,17 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 	return child, true, nil
 }
 
+// stepFor is the search edge that candidate c makes.
+func (a *Analyzer) stepFor(c candidate) Step {
+	via := Step{Trans: c.ti, EventSeq: evSpontaneous}
+	if c.eventIdx >= 0 {
+		via.EventSeq = a.events[c.eventIdx].Seq
+	} else if c.eventIdx == evSynthesized {
+		via.Synthesized = true
+	}
+	return via
+}
+
 // matchChild verifies outs, the outputs of the candidate c that made child,
 // against the trace, advancing child's output cursors. It returns "" when
 // they match, else the prune reason; a blocked candidate is deferred on
@@ -1553,19 +1564,15 @@ func (a *Analyzer) checkChild(child *node, st *vm.State) string {
 	if a.seen == nil && a.memo == nil {
 		return ""
 	}
-	child.fp = a.hashNode(st, child)
-	child.hashed = true
-	canon := func() string { return a.fingerprintState(st, child) }
-	if a.opts.CollisionCheck && a.memo != nil {
-		// The canonical form must outlive st (memoization happens at pop,
-		// when the live state may have moved on), so capture it now.
-		child.canon = canon()
-	}
-	if a.seen != nil && a.seen.visit(child.fp, child.depth, canon) {
+	a.fingerprintNode(st, child)
+	if a.seen != nil && a.seen.visit(child.fp, child.canon, child.depth) {
 		a.stats.HashHits++
 		return "hash"
 	}
-	if a.memo != nil && a.memo.dead(child.fp, func() string { return child.canon }) {
+	if a.memo == nil {
+		return ""
+	}
+	if _, dead := a.memo.lookup(child.fp, child.canon); dead {
 		a.stats.PrunedByMemo++
 		if a.mMemoPrunes != nil {
 			a.mMemoPrunes.Inc()
@@ -1573,6 +1580,18 @@ func (a *Analyzer) checkChild(child *node, st *vm.State) string {
 		return "memo"
 	}
 	return ""
+}
+
+// fingerprintNode stamps child, whose state is st, with its fingerprint: the
+// hash, and under CollisionCheck the canonical string. Both must outlive st,
+// because the memo records the node when it is popped, when the live state
+// may have moved on.
+func (a *Analyzer) fingerprintNode(st *vm.State, child *node) {
+	child.fp = a.hashNode(st, child)
+	child.hashed = true
+	if a.opts.CollisionCheck {
+		child.canon = a.fingerprintState(st, child)
+	}
 }
 
 // hashNode extends the state's fingerprint hash with the node's trace

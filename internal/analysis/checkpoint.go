@@ -120,18 +120,47 @@ func TraceDigest(tr *trace.Trace) string {
 // mutated by further search work.
 func (a *Analyzer) LastCheckpoint() *CheckpointState { return a.lastCkpt }
 
-// maybeCheckpoint captures the current best node if checkpointing is enabled
-// and the interval has elapsed (or force is set: interruption paths always
-// capture, so a SIGTERM checkpoint reflects the final progress).
+// maybeCheckpoint captures the sequential search's best path when a capture
+// is due (see checkpointDue; force is set on the interruption paths, so a
+// SIGTERM checkpoint reflects the final progress). At an arbitrary moment the
+// best node is often a dead frontier step whose state was never saved (dead
+// ends are popped, not saved), so it captures the deepest node on the best
+// path whose state is safely readable: the best node itself when it owns the
+// live state or has a snapshot, else its nearest saved ancestor, a branching
+// node the search will pass through again.
 func (a *Analyzer) maybeCheckpoint(initState int, best, curOwner *node, force bool) {
 	if a.opts.CheckpointEvery <= 0 || a.dynamic {
 		return
 	}
 	now := time.Now()
-	if !force && now.Sub(a.lastCkptAt) < a.opts.CheckpointEvery {
+	if !force && !a.checkpointDue(now) {
 		return
 	}
-	ck := a.captureCheckpoint(initState, best, curOwner)
+	for best != nil && best.saved == nil && !(curOwner == best && best.live != nil) {
+		best = best.parent
+	}
+	if best == nil {
+		return
+	}
+	st := best.saved
+	if st == nil {
+		st = best.live
+	}
+	a.keepCheckpoint(a.captureCheckpoint(initState, best, st, a.stats.Nodes, a.stats.TE), now)
+}
+
+// checkpointDue reports whether CheckpointEvery has passed since the last
+// capture, or since the run started when there was none. Both engines
+// capture on this rule, and force a capture when the search stops on its
+// budget or its context.
+func (a *Analyzer) checkpointDue(now time.Time) bool {
+	return now.Sub(a.lastCkptAt) >= a.opts.CheckpointEvery
+}
+
+// keepCheckpoint makes ck, captured at now, the analyzer's last checkpoint
+// and hands it to OnCheckpoint. A nil ck (an encoding failure) is dropped,
+// and the next capture retries.
+func (a *Analyzer) keepCheckpoint(ck *CheckpointState, now time.Time) {
 	if ck == nil {
 		return
 	}
@@ -145,24 +174,10 @@ func (a *Analyzer) maybeCheckpoint(initState int, best, curOwner *node, force bo
 	}
 }
 
-// captureCheckpoint serializes the deepest node on the best path whose state
-// is safely readable: the best node itself when it owns the live state or has
-// a snapshot, else its nearest saved ancestor. Dead-end leaves are never
-// saved (nothing will revisit them), so walking up lands on the branching
-// node the search will pass through again — exactly the state a resumed run
-// wants to restart below. Returns nil only when nothing on the path is
-// capturable, which the next interval retries.
-func (a *Analyzer) captureCheckpoint(initState int, best, curOwner *node) *CheckpointState {
-	for best != nil && best.saved == nil && !(curOwner == best && best.live != nil) {
-		best = best.parent
-	}
-	if best == nil {
-		return nil
-	}
-	st := best.saved
-	if st == nil {
-		st = best.live
-	}
+// captureCheckpoint serializes node n, whose state st the caller may read,
+// with the search effort (nodes, te) spent so far. It returns nil when the
+// state cannot be encoded.
+func (a *Analyzer) captureCheckpoint(initState int, n *node, st *vm.State, nodes, te int64) *CheckpointState {
 	if a.typeTable == nil {
 		a.typeTable = vm.NewTypeTable(a.spec.Prog)
 	}
@@ -177,16 +192,16 @@ func (a *Analyzer) captureCheckpoint(initState int, best, curOwner *node) *Check
 		SpecDigest:   a.specDigestCache,
 		TraceDigest:  a.traceDigest,
 		InitialState: initState,
-		InCur:        append([]int(nil), best.inCur...),
-		OutCur:       append([]int(nil), best.outCur...),
-		Synth:        append([]int(nil), best.synth...),
-		Fingerprint:  a.fingerprintState(st, best),
+		InCur:        append([]int(nil), n.inCur...),
+		OutCur:       append([]int(nil), n.outCur...),
+		Synth:        append([]int(nil), n.synth...),
+		Fingerprint:  a.fingerprintState(st, n),
 		VMState:      enc,
-		Verified:     a.explained(best),
-		Nodes:        a.stats.Nodes,
-		TE:           a.stats.TE,
+		Verified:     a.explained(n),
+		Nodes:        nodes,
+		TE:           te,
 	}
-	for _, s := range pathTo(best) {
+	for _, s := range pathTo(n) {
 		ck.Steps = append(ck.Steps, CheckpointStep{
 			Trans:       s.Trans.Name,
 			EventSeq:    s.EventSeq,

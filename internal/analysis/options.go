@@ -115,8 +115,9 @@ type Options struct {
 	// partial-trace analyses always run sequentially — the MDFS poll loop
 	// and forked execution are inherently single-strand.
 	//
-	// Tracer and FlightRecorder observe only lifecycle events at j>1 (the
-	// per-edge firehose would need a global order that does not exist);
+	// Tracer and FlightRecorder observe only lifecycle events at j>1 (search
+	// start and end, resume, checkpoint captures; the per-edge firehose
+	// would need a global order that does not exist);
 	// coverage hit SETS stay exact while hit COUNTS become
 	// schedule-dependent. OnCheckpoint may be invoked from a worker
 	// goroutine (serialized by the analyzer).

@@ -33,7 +33,7 @@ import (
 // folds — minimum-rank accepting node, (max explained score, min rank) best
 // diagnosis node, rank-sorted fault list — and the shared seen/memo tables
 // only prune a node against a witness of strictly smaller rank (see
-// shared.go), so conclusive verdicts, solutions, and diagnoses are
+// tables.go), so conclusive verdicts, solutions, and diagnoses are
 // byte-identical to the sequential engine's at any worker count. Interrupted
 // runs (budget, deadline) stop at a schedule-dependent frontier, exactly as a
 // deadline already makes sequential runs time-dependent. DESIGN.md §15 gives
@@ -105,7 +105,9 @@ type parEngine struct {
 	// Reduction state: the canonical (minimum-rank) accepting node and the
 	// (max score, min rank) diagnosis node. acceptPtr mirrors acceptKey for
 	// lock-free abandonment checks; scoreHint lets noteBest skip the mutex
-	// for nodes that cannot improve the best.
+	// for nodes that cannot improve the best. While CheckpointEvery > 0,
+	// bestState is a snapshot of the best node's state, for the forced
+	// capture at a stop: finalized nodes hand their own states back.
 	mu         sync.Mutex
 	acceptNode *node
 	acceptKey  string
@@ -114,6 +116,7 @@ type parEngine struct {
 	bestScore  int
 	bestKey    string
 	bestFSM    int
+	bestState  *vm.State
 	scoreHint  atomic.Int64
 
 	faultsMu sync.Mutex
@@ -185,6 +188,10 @@ func (e *parEngine) noteBest(n *node, st *vm.State) {
 	improved := sc > e.bestScore || (sc == e.bestScore && n.par.rkey < e.bestKey)
 	if improved {
 		e.best, e.bestScore, e.bestKey, e.bestFSM = n, sc, n.par.rkey, st.FSM
+		if e.bestState != nil {
+			vm.ReleaseState(e.bestState)
+			e.bestState = st.Snapshot()
+		}
 		e.scoreHint.Store(int64(sc))
 		atomicMax(&e.gScore, int64(sc))
 	}
@@ -215,14 +222,12 @@ func (e *parEngine) finalizeLeaf(n *node) {
 }
 
 // finalizeOne retires one fully-resolved node and returns its parent (nil for
-// the root, which closes the done latch). The memo-eligibility conditions
-// mirror memoizeDead: the candidate list was complete and untruncated, so the
-// subtree is a complete refutation, usable by any later-ranked node.
+// the root, which closes the done latch). A node proven dead is a complete
+// refutation, usable by any later-ranked node, and goes into the memo.
 func (e *parEngine) finalizeOne(n *node) *node {
 	trunc := n.par.trunc.Load()
-	if !trunc && e.memo != nil && n.hashed && !n.pg && len(n.deferred) == 0 &&
-		n.genLen == len(e.a.events) {
-		e.memo.insert(n.fp, n.par.rkey, func() string { return n.canon })
+	if e.memo != nil && e.a.provenDead(n, trunc) {
+		e.memo.insert(n.fp, n.canon, n.par.rkey)
 	}
 	if n.saved != nil {
 		vm.ReleaseState(n.saved)
@@ -259,10 +264,10 @@ func (e *parEngine) emitProgress() {
 	a.opts.OnProgress(p)
 }
 
-// maybeCapture checkpoints an improved best path, rate-limited by
-// CheckpointEvery. It runs on the worker goroutine that owns n's state (the
-// only safe place to serialize it), so OnCheckpoint may be called from a
-// worker goroutine — see Options.Parallelism.
+// maybeCapture checkpoints an improved best path when a capture is due. It
+// runs on the worker goroutine that owns n's state (the only safe place to
+// serialize it), so OnCheckpoint may be called from a worker goroutine — see
+// Options.Parallelism.
 func (e *parEngine) maybeCapture(n *node, st *vm.State) {
 	a := e.a
 	if a.opts.CheckpointEvery <= 0 {
@@ -270,60 +275,9 @@ func (e *parEngine) maybeCapture(n *node, st *vm.State) {
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	now := time.Now()
-	if a.lastCkpt != nil && now.Sub(a.lastCkptAt) < a.opts.CheckpointEvery {
-		return
+	if now := time.Now(); a.checkpointDue(now) {
+		a.keepCheckpoint(a.captureCheckpoint(e.initState, n, st, e.gNodes.Load(), e.gTE.Load()), now)
 	}
-	ck := e.encodeCheckpoint(n, st)
-	if ck == nil {
-		return
-	}
-	a.lastCkptAt = now
-	a.lastCkpt = ck
-	if a.opts.OnCheckpoint != nil {
-		a.opts.OnCheckpoint(ck)
-	}
-}
-
-// encodeCheckpoint is captureCheckpoint for a worker-owned (node, state)
-// pair: no ancestor walk is needed because every parallel node keeps its
-// state until its subtree finalizes. Caller holds ckptMu.
-func (e *parEngine) encodeCheckpoint(n *node, st *vm.State) *CheckpointState {
-	a := e.a
-	if a.typeTable == nil {
-		a.typeTable = vm.NewTypeTable(a.spec.Prog)
-	}
-	enc, err := vm.EncodeState(st, a.typeTable)
-	if err != nil {
-		return nil
-	}
-	if a.specDigestCache == "" {
-		a.specDigestCache = SpecDigest(a.spec)
-	}
-	ck := &CheckpointState{
-		SpecDigest:   a.specDigestCache,
-		TraceDigest:  a.traceDigest,
-		InitialState: e.initState,
-		InCur:        append([]int(nil), n.inCur...),
-		OutCur:       append([]int(nil), n.outCur...),
-		Synth:        append([]int(nil), n.synth...),
-		Fingerprint:  a.fingerprintState(st, n),
-		VMState:      enc,
-		Verified:     a.explained(n),
-		Nodes:        e.gNodes.Load(),
-		TE:           e.gTE.Load(),
-	}
-	for x := n; x != nil && x.parent != nil; x = x.parent {
-		ck.Steps = append(ck.Steps, CheckpointStep{
-			Trans:       x.via.Trans.Name,
-			EventSeq:    x.via.EventSeq,
-			Synthesized: x.via.Synthesized,
-		})
-	}
-	for i, j := 0, len(ck.Steps)-1; i < j; i, j = i+1, j-1 {
-		ck.Steps[i], ck.Steps[j] = ck.Steps[j], ck.Steps[i]
-	}
-	return ck
 }
 
 func atomicMax(a *atomic.Int64, v int64) {
@@ -485,13 +439,7 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 		w.flushStats()
 	}
 
-	via := Step{Trans: c.ti, EventSeq: evSpontaneous}
-	if c.eventIdx >= 0 {
-		via.EventSeq = wa.events[c.eventIdx].Seq
-	} else if c.eventIdx == evSynthesized {
-		via.Synthesized = true
-	}
-
+	via := wa.stepFor(c)
 	wa.stats.TE++
 	wa.noteFire(n, c, via.EventSeq)
 	outs, err := wa.exec.Execute(st, c.ti, wa.paramsFor(c.params))
@@ -523,19 +471,14 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 		wa.cov.HitState(st.FSM)
 	}
 	if e.seen != nil || e.memo != nil {
-		child.fp = wa.hashNode(st, child)
-		child.hashed = true
-		canon := func() string { return wa.fingerprintState(st, child) }
-		if wa.opts.CollisionCheck && e.memo != nil {
-			child.canon = canon()
-		}
-		if e.seen != nil && e.seen.visit(child.fp, childKey, child.depth, canon) {
+		wa.fingerprintNode(st, child)
+		if e.seen != nil && e.seen.visit(child.fp, child.canon, childKey, child.depth) {
 			wa.stats.HashHits++
 			vm.ReleaseState(st)
 			e.resolve(n, 1)
 			return nil
 		}
-		if e.memo != nil && e.memo.dead(child.fp, childKey, func() string { return child.canon }) {
+		if e.memo != nil && e.memo.dead(child.fp, child.canon, childKey) {
 			wa.stats.PrunedByMemo++
 			if wa.mMemoPrunes != nil {
 				wa.mMemoPrunes.Inc()
@@ -678,19 +621,7 @@ func (a *Analyzer) searchParallel(ctx context.Context, initState int, start *nod
 	}
 	var memo *sharedMemo
 	if a.opts.Memo {
-		// Same sizing rule as searchLoop: explicit budget, or room for ~4096
-		// states of this spec's footprint, clamped to [1 MiB, 64 MiB].
-		b := a.opts.MemoBytes
-		if b <= 0 {
-			b = 4096 * a.stateOf(root).ApproxBytes()
-			if b < 1<<20 {
-				b = 1 << 20
-			}
-			if b > 64<<20 {
-				b = 64 << 20
-			}
-		}
-		memo = newSharedMemo(b, a.opts.CollisionCheck)
+		memo = newSharedMemo(a.memoBudget(root), a.opts.CollisionCheck)
 	}
 
 	e := &parEngine{
@@ -708,6 +639,10 @@ func (a *Analyzer) searchParallel(ctx context.Context, initState int, start *nod
 	e.gScore.Store(int64(bestScore))
 	e.gNodes.Store(a.stats.Nodes)
 	e.gTE.Store(a.stats.TE)
+	if a.opts.CheckpointEvery > 0 {
+		e.bestState = a.stateOf(root).Snapshot()
+		defer func() { vm.ReleaseState(e.bestState) }()
+	}
 
 	// The root becomes the first task: its state moves to saved (the parallel
 	// engine keeps every task's state there) and its pending count covers the
@@ -781,14 +716,10 @@ func (a *Analyzer) searchParallel(ctx context.Context, initState int, start *nod
 		}
 	}
 	if seen != nil {
-		a.stats.Collisions += seen.collisions.Load()
+		a.addPruneCounts(0, seen.collisions())
 	}
 	if memo != nil {
-		ev := memo.evictions.Load()
-		a.stats.MemoEvictions += ev
-		if a.mMemoEvict != nil {
-			a.mMemoEvict.Add(ev)
-		}
+		a.addPruneCounts(memo.counts())
 	}
 	if m := a.opts.Metrics; m != nil {
 		m.Counter("parallel.steals").Add(e.steals.Load())
@@ -818,20 +749,23 @@ func (a *Analyzer) searchParallel(ctx context.Context, initState int, start *nod
 	}
 	switch e.stopReason.Load() {
 	case parStopBudget:
-		return e.stopVerdict(StopBudget, Exhausted,
+		e.forceCapture()
+		return a.stopResult(initState, e.best, e.bestFSM, StopBudget, Exhausted,
 			fmt.Sprintf("transition budget %d exceeded", a.opts.MaxTransitions)), nil
 	case parStopCtx:
-		return e.stopVerdict(a.interruptReason(ctx), Partial,
+		e.forceCapture()
+		return a.stopResult(initState, e.best, e.bestFSM, a.interruptReason(ctx), Partial,
 			"analysis interrupted: "+ctx.Err().Error()), nil
 	}
 	return &Result{Verdict: Invalid, InitialState: initState,
 		Diagnosis: a.diagnoseWithFSM(e.best, e.bestFSM)}, nil
 }
 
-func (e *parEngine) stopVerdict(reason StopReason, v Verdict, why string) *Result {
-	a := e.a
-	stop := &StopInfo{Reason: reason, Nodes: a.stats.Nodes, Transitions: a.stats.TE,
-		VerifiedPrefix: e.bestScore}
-	return &Result{Verdict: v, InitialState: e.initState, Reason: why,
-		Diagnosis: a.diagnoseWithFSM(e.best, e.bestFSM), Stop: stop}
+// forceCapture checkpoints the best node from its snapshot once the workers
+// have stopped on the budget or the context, as the sequential search does
+// when it stops.
+func (e *parEngine) forceCapture() {
+	if a := e.a; e.bestState != nil {
+		a.keepCheckpoint(a.captureCheckpoint(e.initState, e.best, e.bestState, a.stats.Nodes, a.stats.TE), time.Now())
+	}
 }

@@ -158,6 +158,47 @@ func TestParallelCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestParallelForcedCheckpoint: a parallel run stopped by its context
+// forces a final capture of its best node, as the sequential search does, so
+// the last checkpoint verifies the stop's whole prefix; and it resumes on a
+// fresh analyzer to the uninterrupted verdict and diagnosis. A capture
+// interval of an hour leaves the forced capture as the only one.
+func TestParallelForcedCheckpoint(t *testing.T) {
+	spec := compile(t, "tp0", specs.TP0)
+	tr := deepInvalidTP0(t, spec, 4)
+	want, err := mustAnalyzer(t, spec, Options{Order: OrderNone, Memo: true}).AnalyzeTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{2, 4} {
+		a := mustAnalyzer(t, spec, Options{Order: OrderNone, Parallelism: j, CheckpointEvery: time.Hour})
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		res, err := a.AnalyzeTraceContext(ctx, tr)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != Partial || res.Stop == nil {
+			t.Fatalf("j=%d: verdict %v, stop %+v; want a partial verdict at the deadline", j, res.Verdict, res.Stop)
+		}
+		ck := a.LastCheckpoint()
+		if ck == nil {
+			t.Fatalf("j=%d: no checkpoint captured at the stop", j)
+		}
+		if ck.Verified != res.Stop.VerifiedPrefix {
+			t.Errorf("j=%d: checkpoint verifies %d events, the stop %d", j, ck.Verified, res.Stop.VerifiedPrefix)
+		}
+		b := mustAnalyzer(t, spec, Options{Order: OrderNone, Parallelism: j, Memo: true})
+		got, _, err := b.ResumeTrace(context.Background(), tr, ck)
+		if err != nil {
+			t.Fatalf("j=%d: resume: %v", j, err)
+		}
+		if diagJSON(t, got) != diagJSON(t, want) {
+			t.Errorf("j=%d: resumed result differs from the uninterrupted one:\n%s\n---\n%s", j, diagJSON(t, got), diagJSON(t, want))
+		}
+	}
+}
+
 // TestParallelInitialStateSearch: the per-retry engine rebuild must keep the
 // initial-state search semantics (retry every state, first non-invalid wins).
 func TestParallelInitialStateSearch(t *testing.T) {

@@ -73,8 +73,21 @@ func explore(ctx context.Context, spec *efsm.Spec, maxStates int, paranoid bool)
 		return nil, fmt.Errorf("initialize: %w", err)
 	}
 	res := &Result{FSMStates: make(map[int]bool)}
-	seen := vm.NewFPSet(paranoid)
-	seen.Add(init.Hash64(), init.Fingerprint)
+	seen := vm.NewFPMap[struct{}](paranoid)
+	// add reports whether st is a new state, recording it if so.
+	add := func(st *vm.State) bool {
+		canon := ""
+		if paranoid {
+			canon = st.Fingerprint()
+		}
+		h := st.Hash64()
+		if _, ok := seen.Get(h, canon); ok {
+			return false
+		}
+		seen.Put(h, canon, struct{}{})
+		return true
+	}
+	add(init)
 	queue := []*vm.State{init}
 	res.States = 1
 	res.FSMStates[init.FSM] = true
@@ -120,7 +133,7 @@ func explore(ctx context.Context, spec *efsm.Spec, maxStates int, paranoid bool)
 			}
 			fired++
 			res.Transitions++
-			if !seen.Add(next.Hash64(), next.Fingerprint) {
+			if !add(next) {
 				continue
 			}
 			res.States++

@@ -74,9 +74,9 @@ func TestDistinctExecsShareProgram(t *testing.T) {
 // TestSharedFamilyAcrossGoroutines is the contract the parallel search rests
 // on: COW snapshots of ONE heap family, handed to N goroutines through a
 // channel (the happens-before edge), each goroutine executing, snapshotting,
-// and releasing its own states while all of them share one paranoid FPSet.
-// Under -race this hammers the atomic generation counter, the
-// immutable-while-shared cell slices, and the sharded FPSet at once.
+// and releasing its own states while all of them fingerprint into one
+// paranoid FPMap behind a mutex. Under -race this hammers the atomic
+// generation counter and the immutable-while-shared cell slices at once.
 func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 	spec, err := efsm.Compile("echo", specs.Echo)
 	if err != nil {
@@ -99,7 +99,16 @@ func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 	}
 
 	const workers = 8
-	seen := vm.NewFPSet(true)
+	var mu sync.Mutex
+	seen := vm.NewFPMap[struct{}](true)
+	add := func(st *vm.State) {
+		h, canon := st.Hash64(), st.Fingerprint() // outside the lock
+		mu.Lock()
+		if _, ok := seen.Get(h, canon); !ok {
+			seen.Put(h, canon, struct{}{})
+		}
+		mu.Unlock()
+	}
 	work := make(chan *vm.State, workers*4)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -113,7 +122,7 @@ func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					seen.Add(st.Hash64(), st.Fingerprint)
+					add(st)
 					// Fork and discard: Snapshot/ReleaseState churn on a
 					// family whose siblings live on other goroutines.
 					snap := st.Snapshot()
@@ -121,7 +130,7 @@ func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					seen.Add(snap.Hash64(), snap.Fingerprint)
+					add(snap)
 					vm.ReleaseState(snap)
 				}
 			}
@@ -154,41 +163,4 @@ func TestReleaseStateTwicePanics(t *testing.T) {
 		}
 	}()
 	vm.ReleaseState(snap)
-}
-
-// TestFPSetConcurrentCollisionInjection drives colliding canonical strings
-// through the sharded paranoid set from many goroutines: membership answers
-// must stay exact (each distinct canon admitted exactly once) and every
-// cross-string collision on the forced hash must be counted.
-func TestFPSetConcurrentCollisionInjection(t *testing.T) {
-	s := vm.NewFPSet(true)
-	const workers = 8
-	admitted := make([]int, workers)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			canon := []string{"alpha", "beta"}[g%2]
-			for i := 0; i < 1000; i++ {
-				if s.Add(0xdead<<48, func() string { return canon }) {
-					admitted[g]++
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	total := 0
-	for _, n := range admitted {
-		total += n
-	}
-	if total != 2 {
-		t.Fatalf("admitted %d first-sightings, want exactly 2 (alpha, beta)", total)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	if c := s.Collisions(); c < 1 {
-		t.Fatalf("Collisions = %d, want >= 1 (alpha vs beta share the forced hash)", c)
-	}
 }

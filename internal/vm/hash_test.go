@@ -80,25 +80,19 @@ func TestValueHashMatchesFingerprint(t *testing.T) {
 	}
 }
 
-// TestStateHashMatchesFingerprint checks the property the search core relies
-// on — equal canonical fingerprints imply equal hashes, and on a randomized
-// corpus distinct fingerprints do not collide. (The state hash is not the
-// FNV-1a of the whole string because the heap digest is order-independent,
-// so the property, not byte equality, is what is pinned.)
+// TestStateHashMatchesFingerprint pins the same correspondence for whole
+// states, heap cells included: the state hash IS FNV-1a over the canonical
+// string's bytes, and on a randomized corpus distinct fingerprints do not
+// collide.
 func TestStateHashMatchesFingerprint(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	byHash := make(map[uint64]string)
-	byString := make(map[string]uint64)
 	for i := 0; i < 3000; i++ {
 		st := randState(r)
 		fp, h := st.Fingerprint(), st.Hash64()
-		if prev, ok := byString[fp]; ok {
-			if prev != h {
-				t.Fatalf("same fingerprint %q hashed to %#x and %#x", fp, prev, h)
-			}
-			continue
+		if want := fnv1aString(fp); h != want {
+			t.Fatalf("state %q: Hash64=%#x, fnv1a(fingerprint)=%#x", fp, h, want)
 		}
-		byString[fp] = h
 		if prev, ok := byHash[h]; ok && prev != fp {
 			t.Fatalf("hash collision %#x between %q and %q", h, prev, fp)
 		}
@@ -131,18 +125,27 @@ func TestStateHashHeapOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestFPSetParanoidCountsCollisions feeds the paranoid set two distinct
+// TestFPMapParanoidCountsCollisions feeds the paranoid map two distinct
 // canonical strings under one forced hash: membership must stay correct and
-// the collision must be counted.
-func TestFPSetParanoidCountsCollisions(t *testing.T) {
-	s := NewFPSet(true)
-	if !s.Add(42, func() string { return "a" }) {
+// the collision must be counted. In fast mode the hash is the key, so the
+// same two strings are one fingerprint and no collision can be seen.
+func TestFPMapParanoidCountsCollisions(t *testing.T) {
+	// add reports whether canon was absent, recording it if so.
+	add := func(m *FPMap[struct{}], canon string) bool {
+		if _, ok := m.Get(42, canon); ok {
+			return false
+		}
+		m.Put(42, canon, struct{}{})
+		return true
+	}
+	s := NewFPMap[struct{}](true)
+	if !add(&s, "a") {
 		t.Fatal("first add of a")
 	}
-	if !s.Add(42, func() string { return "b" }) {
+	if !add(&s, "b") {
 		t.Fatal("b is a new state despite the colliding hash")
 	}
-	if s.Add(42, func() string { return "a" }) {
+	if add(&s, "a") {
 		t.Fatal("a must be a revisit")
 	}
 	if s.Collisions() != 1 {
@@ -152,9 +155,12 @@ func TestFPSetParanoidCountsCollisions(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 
-	fast := NewFPSet(false)
-	if !fast.Add(42, nil) || fast.Add(42, nil) {
+	fast := NewFPMap[struct{}](false)
+	if !add(&fast, "") || add(&fast, "") {
 		t.Fatal("fast mode: first add true, revisit false")
+	}
+	if add(&fast, "b") || fast.Collisions() != 0 || fast.Len() != 1 {
+		t.Fatalf("fast mode keys by hash alone: Len = %d, Collisions = %d", fast.Len(), fast.Collisions())
 	}
 }
 
