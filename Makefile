@@ -4,7 +4,7 @@ GO ?= go
 BENCH ?= BenchmarkDeepBacktrackAllocs
 COUNT ?= 6
 
-.PHONY: all build test race bench bench-save bench-report benchstat corpus clean
+.PHONY: all build test race bench bench-save benchstat corpus clean
 
 all: build test
 
@@ -17,11 +17,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# One-shot benchmark matrix via the CLI; writes BENCH_search.json
-# (tango.bench/1) and fails on any cross-config verdict disagreement.
-bench-report:
-	$(GO) run ./cmd/tango bench -report BENCH_search.json
 
 # go-test benchmarks. `make bench-save OUT=old.txt` before a change and
 # `make bench-save OUT=new.txt` after, then `benchstat old.txt new.txt`.

@@ -445,8 +445,9 @@ func BenchmarkTracerOverhead(b *testing.B) {
 
 // BenchmarkDeepBacktrackAllocs is the headline benchmark of the search core:
 // the deep-backtracking invalid TP0 trace analyzed without order checking,
-// under the copy-on-write heap and COW plus the dead-state memo (CI tracks
-// the trend through `tango bench`, which runs the same matrix).
+// under the copy-on-write heap and COW plus the dead-state memo (CI runs it
+// once per build as a smoke test; TestCorpusMemoDifferential checks that the
+// two configurations agree on every verdict).
 func BenchmarkDeepBacktrackAllocs(b *testing.B) {
 	spec := compileB(b, "tp0.estelle", specs.TP0)
 	tr, err := experiments.Fig4InvalidTrace(spec, 3)

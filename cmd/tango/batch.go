@@ -33,7 +33,6 @@ import (
 func runBatch(args []string, w, ew io.Writer) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "worker count (analyzers running concurrently)")
-	par := fs.Int("par", 1, "work-stealing search workers per trace (total goroutines ≈ -j × -par; 1 = sequential)")
 	order := fs.String("order", "FULL", "relative order checking mode: NR, IO, IP or FULL")
 	disable := fs.String("disable", "", "comma-separated IPs whose outputs are not checked")
 	unobserved := fs.String("unobserved", "", "comma-separated IPs whose inputs are missing (partial trace)")
@@ -99,7 +98,6 @@ func runBatch(args []string, w, ew io.Writer) error {
 			Memo:               *memo,
 			MemoBytes:          *memoMB << 20,
 			MaxTransitions:     *budget,
-			Parallelism:        *par,
 			Coverage:           *coverOut != "",
 			FlightRecorder:     *flight,
 		},

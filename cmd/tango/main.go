@@ -136,8 +136,6 @@ func run(args []string, w, ew io.Writer) error {
 		return runBatch(args[1:], w, ew)
 	case "cover":
 		return runCover(args[1:], w, ew)
-	case "bench":
-		return runBench(args[1:], w, ew)
 	case "generate":
 		return runGenerate(args[1:], w, ew)
 	case "lint":
@@ -200,8 +198,6 @@ func (usageError) Error() string {
                                   cover.json and the surviving corpus;
                                   -minimize ddmin-shrinks one disagreeing
                                   trace and exits 2 with the artifact)
-  tango bench [-quick] [-report out.json] [-k N]
-                                 (search-core benchmarks; writes tango.bench/1)
   tango serve [-addr host:port] [-j N] [-queue N] [-spec-cache N]
               [-budget N] [-deadline D] [-max-deadline D] [-stall-timeout D]
               [-breaker N] [-heartbeat D] [-drain-timeout D] [-metrics-out f]
@@ -314,7 +310,6 @@ func splitList(s string) []string {
 
 func runAnalyze(args []string, w, ew io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
-	jobs := fs.Int("j", 1, "work-stealing search workers exploring one trace (1 = sequential; ignored by -online and partial traces)")
 	order := fs.String("order", "FULL", "relative order checking mode: NR, IO, IP or FULL")
 	disable := fs.String("disable", "", "comma-separated IPs whose outputs are not checked")
 	unobserved := fs.String("unobserved", "", "comma-separated IPs whose inputs are missing (partial trace)")
@@ -364,7 +359,6 @@ func runAnalyze(args []string, w, ew io.Writer) error {
 		MemoBytes:          *memoMB << 20,
 		MaxTransitions:     *budget,
 		StallTimeout:       *stallTimeout,
-		Parallelism:        *jobs,
 		Coverage:           *coverOut != "",
 		FlightRecorder:     *flight,
 	}

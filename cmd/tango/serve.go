@@ -33,7 +33,6 @@ func runServe(args []string, w, ew io.Writer) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		workers    = fs.Int("j", 0, "concurrent analyses (default GOMAXPROCS)")
-		par        = fs.Int("par", 1, "work-stealing search workers per request (clamped to 1 under degraded load)")
 		queueDepth = fs.Int("queue", 0, "admission queue depth beyond running analyses (default 4*workers)")
 		cacheSize  = fs.Int("spec-cache", 0, "compiled-spec LRU capacity (default 32)")
 		budget     = fs.Int64("budget", 0, "max transition budget per request (default 5000000)")
@@ -81,7 +80,6 @@ func runServe(args []string, w, ew io.Writer) error {
 			DefaultDeadline: *deadline,
 			MaxDeadline:     *maxDead,
 			MaxBudget:       *budget,
-			Parallelism:     *par,
 		},
 		BreakerPanics:      *breaker,
 		StreamStallTimeout: *stall,

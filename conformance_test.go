@@ -12,7 +12,6 @@ package repro_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -156,92 +155,5 @@ func TestBatchReportDeterminism(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// renderOutcome canonicalizes the schedule-independent part of a result:
-// verdict, reason, initial state, solution, and diagnosis. Search-effort
-// counters and the diagnosis fault list are excluded — fault recording is
-// rank-merged but best-effort under racy under-pruning (see parallel.go).
-func renderOutcome(res *analysis.Result) string {
-	var sb []byte
-	sb = fmt.Appendf(sb, "verdict=%s init=%d reason=%q\n", res.Verdict, res.InitialState, res.Reason)
-	for _, s := range res.Solution {
-		sb = fmt.Appendf(sb, "step %s\n", s)
-	}
-	if d := res.Diagnosis; d != nil {
-		sb = fmt.Appendf(sb, "diag explained=%d/%d state=%s first=%q\n",
-			d.Explained, d.Total, d.State, d.FirstUnexplained)
-		for _, s := range d.Path {
-			sb = fmt.Appendf(sb, "path %s\n", s)
-		}
-	}
-	if res.Stop != nil {
-		sb = fmt.Appendf(sb, "stop reason=%s\n", res.Stop.Reason)
-	}
-	return string(sb)
-}
-
-// TestParallelSearchDifferential pins the work-stealing engine's determinism
-// contract: for every corpus trace, under every pruning configuration, the
-// parallel search at j∈{2,4,8} must produce byte-identical verdicts,
-// solutions, and diagnoses to the sequential engine (j=1).
-func TestParallelSearchDifferential(t *testing.T) {
-	variants := []struct {
-		name string
-		mod  func(o *analysis.Options)
-	}{
-		{"plain", func(o *analysis.Options) {}},
-		{"hash", func(o *analysis.Options) { o.StateHashing = true }},
-		{"hash-memo-paranoid", func(o *analysis.Options) {
-			o.StateHashing = true
-			o.Memo = true
-			o.CollisionCheck = true
-		}},
-	}
-	for _, name := range corpusSpecs {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			spec, err := efsm.Compile(name, specs.All()[name])
-			if err != nil {
-				t.Fatal(err)
-			}
-			items, err := batch.Collect([]string{corpusManifest(t, name)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range variants {
-				base := analysis.Options{Order: analysis.OrderFull}
-				v.mod(&base)
-				seqSess, err := analysis.NewSession(spec, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, it := range items {
-					seq, err := seqSess.AnalyzeFile(context.Background(), it.Path)
-					if err != nil {
-						t.Fatalf("%s/%s: sequential: %v", v.name, it.Name, err)
-					}
-					want := renderOutcome(seq)
-					for _, j := range []int{2, 4, 8} {
-						popts := base
-						popts.Parallelism = j
-						parSess, err := analysis.NewSession(spec, popts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						par, err := parSess.AnalyzeFile(context.Background(), it.Path)
-						if err != nil {
-							t.Fatalf("%s/%s/j=%d: parallel: %v", v.name, it.Name, j, err)
-						}
-						if got := renderOutcome(par); got != want {
-							t.Errorf("%s/%s: j=%d outcome differs from sequential:\n--- j=%d\n%s--- j=1\n%s",
-								v.name, it.Name, j, j, got, want)
-						}
-					}
-				}
-			}
-		})
 	}
 }

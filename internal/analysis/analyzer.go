@@ -46,10 +46,10 @@ type Analyzer struct {
 	autoDepth bool
 
 	stats Stats
-	// The sequential search's visited table (StateHashing) and dead-state
-	// memo (Memo), made when a search starts and dropped by foldPruneStats.
+	// The search's visited table (StateHashing) and dead-state memo (Memo),
+	// made when a search starts and dropped by foldPruneStats.
 	seen   *seenTable
-	memo   *memoStore[proof]
+	memo   *memoStore
 	faults []string
 
 	// Search-node storage, kept across reset (see newNode and recycle): free
@@ -100,8 +100,7 @@ const maxRecordedFaults = 8
 type node struct {
 	parent *node
 	via    Step
-	// seq is the creation number newNode stamps from Analyzer.nodeSeq; 0 for
-	// the parallel engine's nodes.
+	// seq is the creation number newNode stamps from Analyzer.nodeSeq.
 	seq uint64
 
 	// live is the state the node represents; saved is a private snapshot
@@ -135,11 +134,6 @@ type node struct {
 	hashed    bool
 	canon     string
 	truncated bool
-
-	// par is the work-stealing engine's sidecar (rank key, pending-candidate
-	// refcount, atomic truncation flag); nil in the sequential search. See
-	// parallel.go.
-	par *parNode
 }
 
 type candidate struct {
@@ -487,13 +481,7 @@ func (a *Analyzer) search(ctx context.Context, src *sourcePoller, initState int,
 		}()
 	}
 	pprof.Do(ctx, pprof.Labels("tango_phase", "search"), func(ctx context.Context) {
-		// The work-stealing engine covers static complete-trace search; the
-		// on-line (MDFS) and partial modes stay on the sequential loop.
-		if a.opts.Parallelism > 1 && src == nil && !a.dynamic && !a.opts.Partial {
-			res, err = a.searchParallel(ctx, initState, start)
-		} else {
-			res, err = a.searchLoop(ctx, src, initState, start)
-		}
+		res, err = a.searchLoop(ctx, src, initState, start)
 	})
 	return res, err
 }
@@ -515,7 +503,7 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 		a.seen = newSeenTable(a.opts.CollisionCheck)
 	}
 	if a.opts.Memo && !a.opts.Partial && a.memo == nil {
-		a.memo = newMemoStore[proof](a.memoBudget(root), a.opts.CollisionCheck)
+		a.memo = newMemoStore(a.memoBudget(root), a.opts.CollisionCheck)
 	}
 	stack := append(a.stack[:0], root)
 	defer func() {
@@ -546,17 +534,31 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 	best := root
 	bestScore := a.explained(root)
 	bestFSM := a.stateOf(root).FSM
+	// While a static run takes checkpoints, bestState is a snapshot of the
+	// best node's state, taken when best advances, for maybeCheckpoint to
+	// serialize: by the time a capture is due, the best node has usually
+	// been popped and has handed its own states back. It is not a Save, so
+	// SA does not count it.
+	var bestState *vm.State
+	if a.opts.CheckpointEvery > 0 && !a.dynamic {
+		bestState = a.stateOf(root).Snapshot()
+		defer func() { vm.ReleaseState(bestState) }()
+	}
 	a.noteProgress(bestScore)
 	note := func(n *node) {
 		sc := a.explained(n)
 		if sc > bestScore {
 			best, bestScore, bestFSM = n, sc, a.stateOf(n).FSM
+			if bestState != nil {
+				vm.ReleaseState(bestState)
+				bestState = a.stateOf(n).Snapshot()
+			}
 		}
 		a.noteProgress(sc)
 	}
 
-	// cur tracks which node's live state the shared mutable state belongs
-	// to; executing in place is only legal from that node.
+	// curOwner tracks which node's live state the shared mutable state
+	// belongs to; executing in place is only legal from that node.
 	curOwner := root
 
 	if done := a.complete(root); done && a.eofSeen {
@@ -636,12 +638,12 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 
 	for {
 		if a.stats.TE > a.opts.MaxTransitions {
-			a.maybeCheckpoint(initState, best, curOwner, true)
+			a.maybeCheckpoint(initState, best, bestState, true)
 			return a.stopResult(initState, best, bestFSM, StopBudget, Exhausted,
 				fmt.Sprintf("transition budget %d exceeded", a.opts.MaxTransitions)), nil
 		}
 		if ctx.Err() != nil {
-			a.maybeCheckpoint(initState, best, curOwner, true)
+			a.maybeCheckpoint(initState, best, bestState, true)
 			return a.stopResult(initState, best, bestFSM, a.interruptReason(ctx), Partial,
 				"analysis interrupted: "+ctx.Err().Error()), nil
 		}
@@ -654,7 +656,7 @@ func (a *Analyzer) searchLoop(ctx context.Context, src *sourcePoller, initState 
 				}
 				a.maybeBeat(d)
 			}
-			a.maybeCheckpoint(initState, best, curOwner, false)
+			a.maybeCheckpoint(initState, best, bestState, false)
 		}
 		if a.dynamic && expansions%a.opts.PollEvery == 0 {
 			if _, err := poll(0); err != nil {
@@ -911,9 +913,9 @@ func (a *Analyzer) accept(n *node, initState int) *Result {
 // pathTo returns the steps from the root to n, root first; nil at the root.
 // A node's depth counts the steps above it, so the path is filled from its
 // end while walking up. It checks the chain it walks: each parent sits one
-// level above its child and, unless the child is a parallel-engine node
-// (seq 0), was made before it, and the walk ends at depth 0. A chain that
-// breaks this holds a recycled node, so pathTo panics rather than read it.
+// level above its child and was made before it, and the walk ends at depth 0.
+// A chain that breaks this holds a recycled node, so pathTo panics rather
+// than read it.
 func pathTo(n *node) []Step {
 	var steps []Step
 	if n.depth > 0 {
@@ -921,7 +923,7 @@ func pathTo(n *node) []Step {
 	}
 	x := n
 	for ; x.parent != nil; x = x.parent {
-		if p := x.parent; p.depth != x.depth-1 || (x.seq != 0 && p.seq >= x.seq) {
+		if p := x.parent; p.depth != x.depth-1 || p.seq >= x.seq {
 			panic(fmt.Sprintf("analysis: search path broken at depth %d (node %d, parent %d at depth %d)",
 				x.depth, x.seq, p.seq, p.depth))
 		}
@@ -935,8 +937,7 @@ func pathTo(n *node) []Step {
 
 // newNode returns a node for a child of parent, or for a root when parent is
 // nil: a recycled one from the free list when there is one, else a new one.
-// Every node of the sequential search comes from here, stamped with its
-// creation number.
+// Every node of the search comes from here, stamped with its creation number.
 func (a *Analyzer) newNode(parent *node) *node {
 	var n *node
 	if k := len(a.free); k > 0 {
@@ -1015,11 +1016,11 @@ func (a *Analyzer) savePG(n *node, pgSaved *[]*node) {
 // releaseNode hands a popped node's states back to the vm pool: its saved
 // snapshot, and its live state unless the parent shares that state in place.
 // An in-place chain shares one *vm.State and the topmost node holding it owns
-// it; its descendants were popped before it. The fields are cleared, so
-// captureCheckpoint, which walks up the best path to the nearest node still
-// holding a state, never serializes a recycled container; diagnoses read the
-// FSM captured when the best node advanced. Only static runs release: an
-// on-line (MDFS) node can be parked as a PG-node, revived and popped again.
+// it; its descendants were popped before it. The fields are cleared, so a
+// stale read of a released container fails loudly; checkpoints serialize the
+// best node from searchLoop's own snapshot, and diagnoses read the FSM
+// captured when the best node advanced. Only static runs release: an on-line
+// (MDFS) node can be parked as a PG-node, revived and popped again.
 func releaseNode(n *node) {
 	vm.ReleaseState(n.saved)
 	if n.parent == nil || n.parent.live != n.live {
@@ -1038,20 +1039,14 @@ func (a *Analyzer) memoBudget(root *node) int64 {
 	return min(max(4096*a.stateOf(root).ApproxBytes(), 1<<20), 64<<20)
 }
 
-// provenDead reports whether the fully explored node n proves its subtree
-// non-accepting, so that the memo may record it: its candidate list was
-// complete for the final trace (post-EOF in dynamic mode), and no part of
-// the subtree was truncated, deferred, or parked. truncated is the engine's
-// truncation mark for n. See DESIGN.md §10.3.
-func (a *Analyzer) provenDead(n *node, truncated bool) bool {
-	return n.hashed && !truncated && !n.pg && len(n.deferred) == 0 &&
-		!(a.dynamic && !a.eofSeen) && n.genLen == len(a.events)
-}
-
-// memoizeDead records a popped node in the memo when it is proven dead.
+// memoizeDead records a popped node in the memo when the fully explored node
+// proves its subtree non-accepting: its candidate list was complete for the
+// final trace (post-EOF in dynamic mode), and no part of the subtree was
+// truncated, deferred, or parked. See DESIGN.md §10.3.
 func (a *Analyzer) memoizeDead(n *node) {
-	if a.memo != nil && a.provenDead(n, n.truncated) {
-		a.memo.insert(n.fp, n.canon, proof{})
+	if a.memo != nil && n.hashed && !n.truncated && !n.pg && len(n.deferred) == 0 &&
+		!(a.dynamic && !a.eofSeen) && n.genLen == len(a.events) {
+		a.memo.insert(n.fp, n.canon)
 	}
 }
 
@@ -1572,7 +1567,7 @@ func (a *Analyzer) checkChild(child *node, st *vm.State) string {
 	if a.memo == nil {
 		return ""
 	}
-	if _, dead := a.memo.lookup(child.fp, child.canon); dead {
+	if a.memo.lookup(child.fp, child.canon) {
 		a.stats.PrunedByMemo++
 		if a.mMemoPrunes != nil {
 			a.mMemoPrunes.Inc()
@@ -1801,18 +1796,10 @@ func (a *Analyzer) explained(n *node) int {
 	return sc
 }
 
-// diagnose builds the invalid-verdict diagnosis from the best partial path.
-func (a *Analyzer) diagnose(best *node) *Diagnosis {
-	if best == nil {
-		return nil
-	}
-	return a.diagnoseWithFSM(best, a.stateOf(best).FSM)
-}
-
-// diagnoseWithFSM is diagnose with the best node's FSM state supplied by the
-// caller — the parallel engine releases node states back to the pool as
-// subtrees finalize, so it captures the FSM ordinal when the best-node
-// reduction advances instead of reading it from a state that may be gone.
+// diagnoseWithFSM builds the invalid-verdict diagnosis from the best partial
+// path. The caller supplies the FSM ordinal it captured when best advanced:
+// best's state may since have been released, or moved on in place (see
+// searchLoop).
 func (a *Analyzer) diagnoseWithFSM(best *node, fsm int) *Diagnosis {
 	if best == nil {
 		return nil

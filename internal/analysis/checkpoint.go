@@ -120,47 +120,21 @@ func TraceDigest(tr *trace.Trace) string {
 // mutated by further search work.
 func (a *Analyzer) LastCheckpoint() *CheckpointState { return a.lastCkpt }
 
-// maybeCheckpoint captures the sequential search's best path when a capture
-// is due (see checkpointDue; force is set on the interruption paths, so a
-// SIGTERM checkpoint reflects the final progress). At an arbitrary moment the
-// best node is often a dead frontier step whose state was never saved (dead
-// ends are popped, not saved), so it captures the deepest node on the best
-// path whose state is safely readable: the best node itself when it owns the
-// live state or has a snapshot, else its nearest saved ancestor, a branching
-// node the search will pass through again.
-func (a *Analyzer) maybeCheckpoint(initState int, best, curOwner *node, force bool) {
-	if a.opts.CheckpointEvery <= 0 || a.dynamic {
+// maybeCheckpoint captures the search's best node, whose state snapshot is
+// st, when CheckpointEvery has passed since the last capture (or since the
+// run started), or when force is set: the search stops on its budget or its
+// context, so a SIGTERM checkpoint verifies the stop's whole prefix. st is
+// nil when checkpoints are off or the run is on-line. A capture that fails
+// to encode is dropped, and the next one retries.
+func (a *Analyzer) maybeCheckpoint(initState int, best *node, st *vm.State, force bool) {
+	if st == nil {
 		return
 	}
 	now := time.Now()
-	if !force && !a.checkpointDue(now) {
+	if !force && now.Sub(a.lastCkptAt) < a.opts.CheckpointEvery {
 		return
 	}
-	for best != nil && best.saved == nil && !(curOwner == best && best.live != nil) {
-		best = best.parent
-	}
-	if best == nil {
-		return
-	}
-	st := best.saved
-	if st == nil {
-		st = best.live
-	}
-	a.keepCheckpoint(a.captureCheckpoint(initState, best, st, a.stats.Nodes, a.stats.TE), now)
-}
-
-// checkpointDue reports whether CheckpointEvery has passed since the last
-// capture, or since the run started when there was none. Both engines
-// capture on this rule, and force a capture when the search stops on its
-// budget or its context.
-func (a *Analyzer) checkpointDue(now time.Time) bool {
-	return now.Sub(a.lastCkptAt) >= a.opts.CheckpointEvery
-}
-
-// keepCheckpoint makes ck, captured at now, the analyzer's last checkpoint
-// and hands it to OnCheckpoint. A nil ck (an encoding failure) is dropped,
-// and the next capture retries.
-func (a *Analyzer) keepCheckpoint(ck *CheckpointState, now time.Time) {
+	ck := a.captureCheckpoint(initState, best, st)
 	if ck == nil {
 		return
 	}
@@ -175,9 +149,9 @@ func (a *Analyzer) keepCheckpoint(ck *CheckpointState, now time.Time) {
 }
 
 // captureCheckpoint serializes node n, whose state st the caller may read,
-// with the search effort (nodes, te) spent so far. It returns nil when the
-// state cannot be encoded.
-func (a *Analyzer) captureCheckpoint(initState int, n *node, st *vm.State, nodes, te int64) *CheckpointState {
+// with the search effort spent so far. It returns nil when the state cannot
+// be encoded.
+func (a *Analyzer) captureCheckpoint(initState int, n *node, st *vm.State) *CheckpointState {
 	if a.typeTable == nil {
 		a.typeTable = vm.NewTypeTable(a.spec.Prog)
 	}
@@ -198,8 +172,8 @@ func (a *Analyzer) captureCheckpoint(initState int, n *node, st *vm.State, nodes
 		Fingerprint:  a.fingerprintState(st, n),
 		VMState:      enc,
 		Verified:     a.explained(n),
-		Nodes:        nodes,
-		TE:           te,
+		Nodes:        a.stats.Nodes,
+		TE:           a.stats.TE,
 	}
 	for _, s := range pathTo(n) {
 		ck.Steps = append(ck.Steps, CheckpointStep{

@@ -254,7 +254,7 @@ func writeTruncatedCopy(src, dst string) error {
 // invalid TP0 searches (k=3 and k=4, bulk and full-buffer, NR+memo). These
 // searches pop thousands of nodes, so most captures happen while the best
 // node has already been popped and its states handed back to the vm pool;
-// the capture must then walk up to an ancestor that still holds a state.
+// the capture must then serialize the search's own snapshot of its state.
 // Every distinct checkpoint must pass the full-path replay's fingerprint and
 // codec cross-check on a fresh analyzer (tryResume's trusted flag; the
 // resumed flag of ResumeTrace is false on an invalid trace by design, since a
@@ -320,6 +320,54 @@ func TestCheckpointsAfterReleasesResume(t *testing.T) {
 				}
 			}
 			t.Logf("%s k=%d: %d distinct checkpoints resumed", shape.name, k, len(cks))
+		}
+	}
+}
+
+// TestForcedCheckpointVerifiesStop: a search stopped by its transition budget
+// or its deadline forces a final capture of its best node, so the last
+// checkpoint verifies the stop's whole prefix; and it resumes on a fresh
+// analyzer to the uninterrupted verdict and diagnosis. A capture interval of
+// an hour leaves the forced capture as the only one.
+func TestForcedCheckpointVerifiesStop(t *testing.T) {
+	spec := compile(t, "tp0", specs.TP0)
+	for _, c := range []struct {
+		k        int
+		budget   int64
+		deadline time.Duration
+	}{{3, 2000, 0}, {4, 20000, 0}, {4, 0, 20 * time.Millisecond}} {
+		name := fmt.Sprintf("k=%d budget=%d deadline=%v", c.k, c.budget, c.deadline)
+		tr := deepInvalidTP0(t, spec, c.k)
+		want, err := mustAnalyzer(t, spec, Options{Order: OrderNone, Memo: true}).AnalyzeTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if c.deadline > 0 {
+			ctx, cancel = context.WithTimeout(ctx, c.deadline)
+		}
+		a := mustAnalyzer(t, spec, Options{Order: OrderNone, MaxTransitions: c.budget, CheckpointEvery: time.Hour})
+		res, err := a.AnalyzeTraceContext(ctx, tr)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stop == nil {
+			t.Fatalf("%s: verdict %v without a stop; want the search stopped", name, res.Verdict)
+		}
+		ck := a.LastCheckpoint()
+		if ck == nil {
+			t.Fatalf("%s: no checkpoint captured at the stop", name)
+		}
+		if ck.Verified != res.Stop.VerifiedPrefix {
+			t.Errorf("%s: checkpoint verifies %d events, the stop %d", name, ck.Verified, res.Stop.VerifiedPrefix)
+		}
+		got, _, err := mustAnalyzer(t, spec, Options{Order: OrderNone, Memo: true}).ResumeTrace(context.Background(), tr, ck)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", name, err)
+		}
+		if diagJSON(t, got) != diagJSON(t, want) {
+			t.Errorf("%s: resumed result differs from the uninterrupted one:\n%s\n---\n%s", name, diagJSON(t, got), diagJSON(t, want))
 		}
 	}
 }

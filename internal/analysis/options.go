@@ -105,22 +105,10 @@ type Options struct {
 	// analysis of the same state twice").
 	StateHashing bool
 
-	// Parallelism sets how many worker goroutines explore the backtracking
-	// tree of ONE trace (work-stealing over branch points; see parallel.go
-	// and DESIGN.md §15). 0 or 1 means the classic sequential search.
-	// Conclusive verdicts, solutions, and diagnoses are byte-identical to
-	// sequential at every worker count; only schedule-dependent Stats
-	// counters (and the diagnosis of an interrupted/Exhausted run, exactly
-	// as with deadlines today) may differ. On-line (dynamic) and
-	// partial-trace analyses always run sequentially — the MDFS poll loop
-	// and forked execution are inherently single-strand.
+	// Parallelism once set the worker count of a work-stealing search
+	// (DESIGN.md §15).
 	//
-	// Tracer and FlightRecorder observe only lifecycle events at j>1 (search
-	// start and end, resume, checkpoint captures; the per-edge firehose
-	// would need a global order that does not exist);
-	// coverage hit SETS stay exact while hit COUNTS become
-	// schedule-dependent. OnCheckpoint may be invoked from a worker
-	// goroutine (serialized by the analyzer).
+	// Deprecated: ignored; the search runs on one goroutine.
 	Parallelism int
 
 	// Memo enables the dead-state memo: a bounded set of (trace-cursor,
@@ -299,12 +287,6 @@ func (o Options) withDefaults(traceLen int) Options {
 	}
 	if o.MaxIdlePolls <= 0 {
 		o.MaxIdlePolls = 64
-	}
-	if o.Parallelism < 0 {
-		o.Parallelism = 0
-	}
-	if o.Parallelism > 64 {
-		o.Parallelism = 64 // beyond this the deque array sizing is silly
 	}
 	if len(o.UnobservedIPs) > 0 || o.UndefineGlobals {
 		o.Partial = true

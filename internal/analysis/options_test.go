@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/estelle/sema"
+	"repro/specs"
 )
 
 func TestOrderOptsString(t *testing.T) {
@@ -175,3 +176,37 @@ func got3() string { return (&Result{Solution: []Step{{Trans: &dummyTrans}}}).So
 
 // dummyTrans backs Step rendering tests.
 var dummyTrans = sema.TransInfo{Name: "t9"}
+
+// TestParallelismIgnored: the deprecated Parallelism field changes nothing; a
+// run at 8 gives the verdict, diagnosis and every search counter of a run at
+// 0.
+func TestParallelismIgnored(t *testing.T) {
+	spec := compile(t, "tp0", specs.TP0)
+	tr := deepInvalidTP0(t, spec, 3)
+	for _, o := range []Options{
+		{Order: OrderNone},
+		{Order: OrderNone, Memo: true},
+		{Order: OrderFull, StateHashing: true},
+	} {
+		var diags [2]string
+		var stats [2]Stats
+		for i, j := range []int{8, 0} {
+			o.Parallelism = j
+			a := mustAnalyzer(t, spec, o)
+			res, err := a.AnalyzeTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diags[i], stats[i] = diagJSON(t, res), a.Stats()
+			stats[i].ParseTime, stats[i].CompileTime, stats[i].SearchTime, stats[i].CPUTime = 0, 0, 0, 0
+		}
+		if diags[0] != diags[1] {
+			t.Errorf("%s memo=%v hash=%v: diagnosis differs at Parallelism 8:\n%s\n---\n%s",
+				o.Order, o.Memo, o.StateHashing, diags[0], diags[1])
+		}
+		if stats[0] != stats[1] {
+			t.Errorf("%s memo=%v hash=%v: counters differ at Parallelism 8:\n%+v\n---\n%+v",
+				o.Order, o.Memo, o.StateHashing, stats[0], stats[1])
+		}
+	}
+}

@@ -382,7 +382,6 @@ func analysisOptions(order analysis.OrderOpts, disabled, unobserved []string,
 		Memo:               memo,
 		MaxTransitions:     lim.Budget,
 		MaxHeapCells:       heap,
-		Parallelism:        lim.Parallelism,
 		FlightRecorder:     serveFlightEvents,
 	}
 }

@@ -24,19 +24,12 @@ type Limits struct {
 	// transition allocating past it faults and the branch is treated as
 	// infeasible (analysis.Options.MaxHeapCells). 0 keeps the VM default.
 	MaxHeapCells int
-	// Parallelism is the work-stealing search worker count each admitted
-	// request runs with (analysis.Options.Parallelism; ≤1 = sequential).
-	Parallelism int
 	// DegradeAt is the queued-waiters threshold at which the server enters
-	// degraded mode; DegradedBudget, DegradedDeadline and
-	// DegradedParallelism are the clamps applied there — parallel search
-	// multiplies goroutines per request, so it is the first thing an
-	// overloaded server gives back. Degraded responses carry
-	// "degraded": true.
-	DegradeAt           int
-	DegradedBudget      int64
-	DegradedDeadline    time.Duration
-	DegradedParallelism int
+	// degraded mode; DegradedBudget and DegradedDeadline are the clamps
+	// applied there. Degraded responses carry "degraded": true.
+	DegradeAt        int
+	DegradedBudget   int64
+	DegradedDeadline time.Duration
 }
 
 // withDefaults fills the unset fields from the worker/queue geometry.
@@ -68,21 +61,14 @@ func (l Limits) withDefaults(queueDepth int) Limits {
 			l.DegradedDeadline = time.Second
 		}
 	}
-	if l.Parallelism <= 0 {
-		l.Parallelism = 1
-	}
-	if l.DegradedParallelism <= 0 {
-		l.DegradedParallelism = 1
-	}
 	return l
 }
 
 // reqLimits are the effective bounds one request runs under after admission.
 type reqLimits struct {
-	Deadline    time.Duration
-	Budget      int64
-	Parallelism int
-	Degraded    bool
+	Deadline time.Duration
+	Budget   int64
+	Degraded bool
 }
 
 // resolve clamps what the request asked for (0 = server default) against the
@@ -91,7 +77,7 @@ type reqLimits struct {
 // reproduce a degraded partial verdict by re-sending with the budget the
 // response reported.
 func (l Limits) resolve(wantDeadline time.Duration, wantBudget int64, queued int) reqLimits {
-	r := reqLimits{Deadline: l.DefaultDeadline, Budget: l.DefaultBudget, Parallelism: l.Parallelism}
+	r := reqLimits{Deadline: l.DefaultDeadline, Budget: l.DefaultBudget}
 	if wantDeadline > 0 {
 		r.Deadline = min(wantDeadline, l.MaxDeadline)
 	}
@@ -102,7 +88,6 @@ func (l Limits) resolve(wantDeadline time.Duration, wantBudget int64, queued int
 		r.Degraded = true
 		r.Budget = min(r.Budget, l.DegradedBudget)
 		r.Deadline = min(r.Deadline, l.DegradedDeadline)
-		r.Parallelism = min(r.Parallelism, l.DegradedParallelism)
 	}
 	return r
 }

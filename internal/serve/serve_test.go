@@ -306,17 +306,6 @@ func TestDegradedClamp(t *testing.T) {
 	if r.Budget != 7 || r.Deadline != time.Millisecond {
 		t.Fatalf("small request grew under degradation: %+v", r)
 	}
-
-	// Parallel search is the first resource degraded mode takes back: a
-	// policy granting 8 search workers per request drops to its degraded
-	// clamp (default 1) under queue pressure.
-	lp := Limits{Parallelism: 8}.withDefaults(8)
-	if r := lp.resolve(0, 0, 0); r.Parallelism != 8 {
-		t.Fatalf("idle resolve lost parallelism: %+v", r)
-	}
-	if r := lp.resolve(0, 0, lp.DegradeAt); !r.Degraded || r.Parallelism != 1 {
-		t.Fatalf("degraded resolve kept parallelism: %+v", r)
-	}
 }
 
 // TestQuarantineBreaker injects panics into every analysis of one spec and

@@ -1,9 +1,8 @@
 // The VM half of the compile-once/analyze-many contract: distinct Execs over
 // one shared compiled vm.Code must be able to run concurrently, because every
-// batch worker, serve request and parallel-search worker drives its own VM
-// against the same compiled specification. These tests fail under
-// `go test -race` if execution ever writes to the shared code, program or
-// type tables.
+// batch worker and serve request drives its own VM against the same compiled
+// specification. These tests fail under `go test -race` if execution ever
+// writes to the shared code, program or type tables.
 package vm_test
 
 import (
@@ -71,12 +70,12 @@ func TestDistinctExecsShareProgram(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSharedFamilyAcrossGoroutines is the contract the parallel search rests
-// on: COW snapshots of ONE heap family, handed to N goroutines through a
-// channel (the happens-before edge), each goroutine executing, snapshotting,
-// and releasing its own states while all of them fingerprint into one
-// paranoid FPMap behind a mutex. Under -race this hammers the atomic
-// generation counter and the immutable-while-shared cell slices at once.
+// TestSharedFamilyAcrossGoroutines pins the Heap concurrency contract: COW
+// snapshots of ONE heap family, handed to N goroutines through a channel (the
+// happens-before edge), each goroutine executing, snapshotting, and releasing
+// its own states while all of them fingerprint into one paranoid FPMap
+// behind a mutex. Under -race this hammers the atomic generation counter and
+// the immutable-while-shared cell slices at once.
 func TestSharedFamilyAcrossGoroutines(t *testing.T) {
 	spec, err := efsm.Compile("echo", specs.Echo)
 	if err != nil {

@@ -46,8 +46,8 @@ type heapEntry struct {
 // struct's ownership fields without locks. Distinct heaps of the same
 // snapshot family MAY live on different goroutines simultaneously, provided
 // every handoff of a heap between goroutines goes through a happens-before
-// edge (channel send, mutex, or an atomic publish such as the analysis
-// work-stealing deque). Family-wide safety rests on three invariants:
+// edge (channel send, mutex, or an atomic publish). Family-wide safety rests
+// on three invariants:
 //
 //  1. the generation counter shared by the family is atomic;
 //  2. a cell slice referenced by more than one heap is never written — both
@@ -59,7 +59,8 @@ type heapEntry struct {
 //     its last Snapshot — such cells are reachable from this heap alone.
 //
 // The -race tests in this package exercise exactly this cross-goroutine
-// sharing. The parallel search in internal/analysis relies on it.
+// sharing. No caller hands a family across goroutines today (the analyzer's
+// search runs on one goroutine); the contract keeps doing so safe.
 type Heap struct {
 	cells []heapEntry // live cells, in increasing address order
 	next  int64       // the next address Alloc hands out; above every live address

@@ -6,7 +6,8 @@ package vm
 // State. In normal builds it is zero-sized and its methods compile away; the
 // -race build (owner_race.go) swaps in an atomic guard that panics when two
 // goroutines enter Snapshot/ReleaseState on the same State concurrently —
-// the exact contract violation the parallel search must never commit.
+// the exact contract violation any cross-goroutine use of a snapshot family
+// must never commit.
 type stateOwner struct{}
 
 func (stateOwner) acquire() {}

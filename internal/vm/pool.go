@@ -11,12 +11,11 @@ import "sync"
 // Only containers are pooled — never cell payloads or heap cell slices,
 // which may be structurally shared across a snapshot family. A state may be
 // released only when its owner can prove nothing else references it. The
-// sequential analyzer releases a restored state whose candidate failed, and
-// in a static run the saved and (unless the parent shares it in place) live
-// states of every node it pops; the parallel engine releases a node's saved
-// state when its subtree finalizes. sync.Pool is safe for concurrent use, so
-// distinct goroutines' heap families may share the pools even though each
-// family is confined.
+// analyzer releases a restored state whose candidate failed, and in a static
+// run the saved and (unless the parent shares it in place) live states of
+// every node it pops. sync.Pool is safe for concurrent use, so distinct
+// goroutines' heap families may share the pools even though each family is
+// confined.
 
 var (
 	statePool = sync.Pool{New: func() any { return new(State) }}
