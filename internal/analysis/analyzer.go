@@ -56,11 +56,13 @@ type Analyzer struct {
 	// holds nodes nothing can read any more, with their candidate and
 	// cursor arrays; stack is the backing array of the DFS stack; nodeSeq
 	// numbers the nodes in order of creation. params is the buffer each
-	// Execute call's interaction parameters are copied into.
+	// Execute call's interaction parameters are copied into, and tis the
+	// one computeCandidates looks an input's transitions up into.
 	free    []*node
 	stack   []*node
 	nodeSeq uint64
 	params  []vm.Value
+	tis     []*sema.TransInfo
 
 	// Observability (all optional; nil costs nothing on the hot path).
 	tracer obs.Tracer
@@ -1285,10 +1287,8 @@ func (a *Analyzer) computeCandidates(n *node, cands []candidate) ([]candidate, b
 		if a.inputBlocked(n, p, ev) {
 			continue
 		}
-		for _, ti := range a.spec.When(fsm, p) {
-			if ti.WhenInter != ev.Inter {
-				continue
-			}
+		a.tis = a.spec.WhenInput(a.tis[:0], fsm, p, ev.Inter, ev.Params)
+		for _, ti := range a.tis {
 			ok, err := a.provided(state, ti, ev.Params)
 			if err != nil {
 				return nil, false, err

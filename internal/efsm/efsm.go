@@ -1,17 +1,21 @@
 // Package efsm turns a checked Estelle program (sema.Program) into the
 // executable static model the analyzer searches over: FSM states, interaction
-// points, and transition declarations indexed by (state, interaction point)
-// so that the Generate operation of the search (§2.2 of the paper) is a table
-// lookup rather than a scan.
+// points, and transition declarations listed by (state, interaction point).
+// For an observed input, the Generate operation of the search (§2.2 of the
+// paper) looks its transitions up by (state, interaction point, interaction)
+// and by each guard's discriminant (vm.Discriminant), so it evaluates only
+// the guards that the input's parameters do not already refute.
 //
 // It also provides the codec between trace-file parameter text and run-time
 // values, shared by the analyzer and the implementation-generation mode.
 package efsm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -55,8 +59,10 @@ type Spec struct {
 	Timing Timing
 
 	// when[state][ip] lists the transitions with a when clause on that IP
-	// instance enabled in that FSM state, in declaration order.
-	when [][][]*sema.TransInfo
+	// instance enabled in that FSM state, in declaration order, and
+	// byInter[state][ip] splits that list by interaction.
+	when    [][][]*sema.TransInfo
+	byInter [][][]interGroup
 	// spontaneous[state] lists the transitions without a when clause enabled
 	// in that FSM state.
 	spontaneous [][]*sema.TransInfo
@@ -97,6 +103,13 @@ func New(prog *sema.Program) *Spec {
 			}
 		}
 	}
+	s.byInter = make([][][]interGroup, nStates)
+	for st := range s.when {
+		s.byInter[st] = make([][]interGroup, nIPs)
+		for ip, list := range s.when[st] {
+			s.byInter[st][ip] = groupByInter(code, list)
+		}
+	}
 	// sema declares IP and interaction names case-insensitively, so no two
 	// keys of one table name different things.
 	s.ipByName = make(map[string]int, 2*nIPs)
@@ -117,6 +130,71 @@ func New(prog *sema.Program) *Spec {
 		s.interByName[ip.ID] = byChannel[ch]
 	}
 	return s
+}
+
+// interGroup is the part of a when[state][ip] list that consumes one
+// interaction: the transitions without a discriminant, and the others
+// indexed by the parameter they are keyed on.
+type interGroup struct {
+	inter   *sema.Interaction
+	unkeyed []*sema.TransInfo // in declaration order
+	keys    []keyIndex
+}
+
+// keyIndex holds the transitions of a group keyed on one parameter, sorted
+// by their constant and then in declaration order, and the window of each
+// constant's transitions.
+type keyIndex struct {
+	param   int
+	all     []*sema.TransInfo
+	byValue map[int64]window
+}
+
+type window struct{ lo, hi int32 }
+
+// groupByInter splits a when list by interaction, in the order the
+// interactions first appear, and indexes each group by discriminant.
+func groupByInter(code *vm.Code, list []*sema.TransInfo) []interGroup {
+	var groups []interGroup
+	for _, ti := range list {
+		i := slices.IndexFunc(groups, func(g interGroup) bool { return g.inter == ti.WhenInter })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, interGroup{inter: ti.WhenInter})
+		}
+		g := &groups[i]
+		d, ok := code.Discriminant(ti)
+		if !ok {
+			g.unkeyed = append(g.unkeyed, ti)
+			continue
+		}
+		k := slices.IndexFunc(g.keys, func(k keyIndex) bool { return k.param == d.Param })
+		if k < 0 {
+			k = len(g.keys)
+			g.keys = append(g.keys, keyIndex{param: d.Param})
+		}
+		g.keys[k].all = append(g.keys[k].all, ti)
+	}
+	value := func(ti *sema.TransInfo) int64 {
+		d, _ := code.Discriminant(ti)
+		return d.Value
+	}
+	for i := range groups {
+		for k := range groups[i].keys {
+			ki := &groups[i].keys[k]
+			slices.SortStableFunc(ki.all, func(a, b *sema.TransInfo) int { return cmp.Compare(value(a), value(b)) })
+			ki.byValue = make(map[int64]window)
+			for lo := 0; lo < len(ki.all); {
+				v, hi := value(ki.all[lo]), lo+1
+				for hi < len(ki.all) && value(ki.all[hi]) == v {
+					hi++
+				}
+				ki.byValue[v] = window{int32(lo), int32(hi)}
+				lo = hi
+			}
+		}
+	}
+	return groups
 }
 
 // lookupName reads a table of ipByName's kind: a name spelled as a key is
@@ -194,6 +272,39 @@ func (s *Spec) IPByName(name string) (int, bool) { return lookupName(s.ipByName,
 
 // When returns the when-clause transitions for (state, ip).
 func (s *Spec) When(state, ip int) []*sema.TransInfo { return s.when[state][ip] }
+
+// WhenInput appends to dst, in declaration order, the transitions of
+// When(state, ip) that consume inter and whose guard the input's params do
+// not refute: the ones without a discriminant (vm.Discriminant), the keyed
+// ones whose constant equals their parameter, and every keyed one whose
+// parameter is missing or undefined. The left-out transitions are exactly
+// those whose EvalProvided would return (false, nil) on params. The cost
+// grows with what is appended, not with the keyed transitions that do not
+// match.
+func (s *Spec) WhenInput(dst []*sema.TransInfo, state, ip int, inter *sema.Interaction, params []vm.Value) []*sema.TransInfo {
+	for i := range s.byInter[state][ip] {
+		g := &s.byInter[state][ip][i]
+		if g.inter != inter {
+			continue
+		}
+		base := len(dst)
+		dst = append(dst, g.unkeyed...)
+		if len(g.keys) == 0 {
+			return dst
+		}
+		for k := range g.keys {
+			ki := &g.keys[k]
+			if ki.param >= len(params) || params[ki.param].Undef {
+				dst = append(dst, ki.all...)
+			} else if w, ok := ki.byValue[params[ki.param].I]; ok {
+				dst = append(dst, ki.all[w.lo:w.hi]...)
+			}
+		}
+		slices.SortFunc(dst[base:], func(a, b *sema.TransInfo) int { return a.Index - b.Index })
+		return dst
+	}
+	return dst
+}
 
 // Spontaneous returns the spontaneous transitions enabled in state.
 func (s *Spec) Spontaneous(state int) []*sema.TransInfo { return s.spontaneous[state] }

@@ -19,6 +19,24 @@ func FuzzParseSpec(f *testing.F) {
 	}
 	f.Add("specification s; end.")
 	f.Add("specification s; channel C(a,b); by a: m; module M systemprocess; ip P : C(b) individual queue; end; body B for M; state s0; initialize to s0 begin end; trans from s0 to s0 when P.m begin end; end; end.")
+	// One seed per guard shape of vm's discriminant table test, keyed and
+	// unkeyed, each next to a guard keyed on another constant.
+	for _, guard := range []string{
+		"p = 3", "3 = p", "c = green", "ch = 'x'", "fl = true", "p = k", "s = 4",
+		"(p = 1) and f(q)", "((p = 1) and a) and x",
+		"a and (p = 1)", "(p = 1) or a", "not (p = 1)", "p <> 1", "p = q", "r = nil",
+	} {
+		f.Add(`specification s; const k = 7;
+channel CH(a, b); by a: m(p : integer; q : integer; c : (red, green, blue); ch : char; fl : boolean; r : ^integer; s : 0..9);
+module M systemprocess; ip P : CH(b) individual queue; end;
+body B for M; var a, x : boolean;
+function f(n : integer) : boolean; begin f := n > 0 end;
+state S0; initialize to S0 begin a := true; x := true end;
+trans
+  from S0 to S0 when P.m provided ` + guard + ` name g: begin end;
+  from S0 to S0 when P.m provided p = 1 name h: begin end;
+end; end.`)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		spec, err := efsm.Compile("fuzz.estelle", src)
 		if err != nil {
@@ -61,5 +79,6 @@ func FuzzParseSpec(f *testing.F) {
 		for _, ev := range probes {
 			_, _ = spec.ResolveEvent(ev)
 		}
+		checkWhenInput(t, spec)
 	})
 }

@@ -4,14 +4,30 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/efsm"
+	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/specs"
 )
 
+// fuzzSpecs returns the bundled specs and LAPD with 200 keyed pads
+// (experiments.InflateLAPD), by name.
+func fuzzSpecs(t *testing.T) map[string]string {
+	t.Helper()
+	srcs := specs.All()
+	src, err := experiments.InflateLAPD(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs["lapd+200"] = src
+	return srcs
+}
+
 func compileSpec(t *testing.T, name string) *efsm.Spec {
 	t.Helper()
-	src, ok := specs.All()[name]
+	src, ok := fuzzSpecs(t)[name]
 	if !ok {
 		t.Fatalf("unknown spec %q", name)
 	}
@@ -36,10 +52,12 @@ func runCampaign(t *testing.T, specName string, cfg Config) *Result {
 }
 
 // TestFuzzNoDisagreements is the in-tree differential sweep: a seeded
-// campaign over every bundled spec must produce zero analyzer-vs-oracle
-// verdict splits.
+// campaign over every bundled spec, and over LAPD with 200 keyed pads, must
+// produce zero analyzer-vs-oracle verdict splits. The oracle evaluates every
+// guard, so on the inflated spec it referees the analyzer's discriminant
+// index.
 func TestFuzzNoDisagreements(t *testing.T) {
-	for name := range specs.All() {
+	for name := range fuzzSpecs(t) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			res := runCampaign(t, name, Config{Seed: 1, N: 60, MaxEvents: 16})
@@ -54,6 +72,53 @@ func TestFuzzNoDisagreements(t *testing.T) {
 				t.Fatalf("no candidate was oracle-checked")
 			}
 		})
+	}
+}
+
+// TestInflatedLAPDKeyedMatch drives the keyed-match path of the
+// discriminant index, which no generated lapd-cnet trace reaches: at st7,
+// RR(nr=1005, pf=2005) fires pad5. With pf=2006 no pad fires and x1 would
+// have to output SABME, so the trace is invalid. The analyzer (indexed
+// Generate) and the oracle (full scan) must agree on both.
+func TestInflatedLAPDKeyedMatch(t *testing.T) {
+	spec := compileSpec(t, "lapd+200")
+	const head = "in P SABME p=1\nout P UA f=1\nout U DLESTind\n"
+	for _, c := range []struct {
+		rr    string
+		valid bool
+	}{
+		{"in P RR nr=1005 pf=2005\n", true},
+		{"in P RR nr=1005 pf=2006\n", false},
+	} {
+		tr, err := trace.ReadString(head + c.rr + "eof\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := analysis.New(spec, analysis.Options{Order: analysis.OrderFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.AnalyzeTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := analysis.Invalid
+		if c.valid {
+			want = analysis.Valid
+			if n := len(res.Solution); n == 0 || res.Solution[n-1].Trans.Name != "pad5" {
+				t.Errorf("%s: solution %s, want it to end in pad5", c.rr, res.SolutionString())
+			}
+		}
+		if res.Verdict != want {
+			t.Errorf("%s: analyzer verdict %s, want %s", c.rr, res.Verdict, want)
+		}
+		ref, err := sim.CheckTrace(spec, tr, sim.OracleOptions{Order: sim.FullOrder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (ref.Verdict == sim.OracleValid) != c.valid || ref.Verdict == sim.OracleExhausted {
+			t.Errorf("%s: oracle verdict %s, want valid %v", c.rr, ref.Verdict, c.valid)
+		}
 	}
 }
 

@@ -219,15 +219,14 @@ func (g *Generator) fireables() ([]fireable, error) {
 			out = append(out, fireable{ti: ti, ip: -1})
 		}
 	}
+	var tis []*sema.TransInfo
 	for ip := range g.queues {
 		if len(g.queues[ip]) == 0 {
 			continue
 		}
 		front := g.queues[ip][0]
-		for _, ti := range g.spec.When(fsm, ip) {
-			if ti.WhenInter != front.inter {
-				continue
-			}
+		tis = g.spec.WhenInput(tis[:0], fsm, ip, front.inter, front.params)
+		for _, ti := range tis {
 			ok, err := g.provided(ti, front.params)
 			if err != nil {
 				return nil, err

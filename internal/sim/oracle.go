@@ -234,6 +234,10 @@ type oracleCand struct {
 	ip     int // -1 spontaneous
 }
 
+// expand generates n's children. It evaluates the guard of every
+// transition of each (state, IP) list on purpose, where the analyzer and
+// gen skip the ones an input's discriminant refutes (efsm.Spec.WhenInput):
+// the full scan keeps the oracle an independent referee of that index.
 func (o *oracle) expand(n *oracleNode) ([]*oracleNode, error) {
 	var cands []oracleCand
 	fsm := n.st.FSM

@@ -83,6 +83,28 @@ type transCode struct {
 	ti       *sema.TransInfo
 	provided scalarFn // nil when there is no provided clause
 	body     stmtFn   // nil when there is no block
+	disc     Discriminant
+	keyed    bool // disc is set
+}
+
+// Discriminant is the key of a provided clause whose leftmost conjunct is
+// `p = c` or `c = p`: Param is p's index among the when interaction's
+// parameters and Value is c's ordinal. When that parameter is bound,
+// defined and not Value, EvalProvided returns exactly (false, nil), in
+// either mode, so a caller may skip the call.
+type Discriminant struct {
+	Param int
+	Value int64
+}
+
+// Discriminant returns ti's discriminant; ok is false when its provided
+// clause has none or ti is not part of the compiled program.
+func (c *Code) Discriminant(ti *sema.TransInfo) (d Discriminant, ok bool) {
+	if ti.Index >= len(c.trans) || c.trans[ti.Index].ti != ti {
+		return Discriminant{}, false
+	}
+	tc := &c.trans[ti.Index]
+	return tc.disc, tc.keyed
 }
 
 // The closure shapes: an expression's value; the scalar of an ordinal or
@@ -458,6 +480,7 @@ func Compile(prog *sema.Program) *Code {
 		tc.ti = ti
 		if ti.Provided != nil {
 			tc.provided = c.scalar(ti.Provided)
+			tc.disc, tc.keyed = c.discriminant(ti.Provided)
 		}
 		if ti.Decl.Body != nil {
 			tc.body = c.seq(ti.Decl.Body.Stmts)
@@ -1248,6 +1271,59 @@ func (c *compiler) scalarBinary(x *ast.BinaryExpr) scalarFn {
 		}
 		return 0, false, rte(pos, "unsupported operator %s", op)
 	}
+}
+
+// discriminant finds the discriminant of a provided clause x: the leftmost
+// conjunct of its top-level `and` chain, when that conjunct is `p = c` or
+// `c = p` with p an ordinal interaction parameter and c a literal or a
+// declared constant. Only the leftmost conjunct qualifies. scalarBinary
+// evaluates it before anything else in the clause, and a defined false
+// decides `and` without its right operand, so a bound, defined p other than
+// c makes the clause false with nothing else evaluated: no error, no fault.
+// A later conjunct runs only after the ones left of it, which may fail
+// first; `or` and `not` are not decided by a false `=`.
+func (c *compiler) discriminant(x ast.Expr) (Discriminant, bool) {
+	for {
+		b, ok := x.(*ast.BinaryExpr)
+		if !ok || b.Op != token.AND {
+			break
+		}
+		x = b.X
+	}
+	eq, ok := x.(*ast.BinaryExpr)
+	if !ok || eq.Op != token.EQ {
+		return Discriminant{}, false
+	}
+	if d, ok := c.keyOf(eq.X, eq.Y); ok {
+		return d, true
+	}
+	return c.keyOf(eq.Y, eq.X)
+}
+
+// keyOf is discriminant's test of one side of `=`: p must be an ordinal
+// interaction parameter and k a literal or a declared constant.
+func (c *compiler) keyOf(p, k ast.Expr) (Discriminant, bool) {
+	id, ok := p.(*ast.Ident)
+	if !ok {
+		return Discriminant{}, false
+	}
+	vs, ok := c.info.Uses[id].(*sema.VarSym)
+	if !ok || vs.Kind != sema.InterParamVar || !vs.Type.IsOrdinal() {
+		return Discriminant{}, false
+	}
+	switch k := k.(type) {
+	case *ast.IntLit:
+		return Discriminant{vs.Slot, k.Value}, true
+	case *ast.BoolLit:
+		return Discriminant{vs.Slot, b2i(k.Value)}, true
+	case *ast.CharLit:
+		return Discriminant{vs.Slot, int64(k.Value)}, true
+	case *ast.Ident:
+		if cs, ok := c.info.Uses[k].(*sema.ConstSym); ok {
+			return Discriminant{vs.Slot, cs.Val}, true
+		}
+	}
+	return Discriminant{}, false
 }
 
 func abs64(x int64) int64 {

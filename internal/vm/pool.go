@@ -93,8 +93,8 @@ func ReleaseState(s *State) {
 		return
 	}
 	s.own.acquire()
-	defer s.own.release()
 	if s.pooled {
+		s.own.release()
 		panic("vm: ReleaseState called twice on the same State")
 	}
 	s.pooled = true
@@ -109,5 +109,8 @@ func ReleaseState(s *State) {
 	for i := range s.Globals {
 		s.Globals[i] = Value{Undef: true, Elems: s.Globals[i].Elems[:0], Words: s.Globals[i].Words[:0]}
 	}
+	// The guard is released before Put: once pooled, the container may be
+	// another goroutine's at once.
+	s.own.release()
 	statePool.Put(s)
 }
